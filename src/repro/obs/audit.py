@@ -64,6 +64,9 @@ class ProtectionAuditor:
         #: open-window count per device, for the DMA exposure check
         self._open_by_bdf: Dict[int, int] = {}
         self._window_histogram = window_histogram
+        #: vulnerability windows open right now, across all devices — a
+        #: live gauge the timeline sampler plots over modelled time
+        self.open_windows = 0
 
         self.windows_opened = 0
         self.windows_closed = 0
@@ -83,34 +86,35 @@ class ProtectionAuditor:
         self._last_dma: Optional[Tuple[int, int]] = None  # (seq, bytes)
         self._stale_counted_seq = -1
         self._finalized = False
+        #: per-event-type handlers, called as ``handler(ts, fields)``
+        self.handlers = {
+            "dma_read": self._on_dma,
+            "dma_write": self._on_dma,
+            "iotlb_stale": self._on_stale,
+            "translate": self._on_translate,
+            "unmap": self._on_unmap,
+            "invalidate": self._on_invalidate,
+        }
 
     # -- sink entry point ------------------------------------------------
 
     def __call__(self, ts: float, etype: str, fields: Dict[str, object]) -> None:
-        if etype in ("dma_read", "dma_write"):
-            self._on_dma(fields)
-        elif etype == "iotlb_stale":
-            self._on_stale()
-        elif etype == "translate":
-            if fields.get("layer") == "riommu":
-                self._on_rtranslate(ts, fields)
-        elif etype == "unmap":
-            self._on_unmap(ts, fields)
-        elif etype == "invalidate":
-            self._on_invalidate(ts, fields)
+        handler = self.handlers.get(etype)
+        if handler is not None:
+            handler(ts, fields)
 
     # -- event handlers --------------------------------------------------
 
-    def _on_dma(self, fields: Dict[str, object]) -> None:
-        size = int(fields.get("size", 0))
+    def _on_dma(self, ts: float, fields: Dict[str, object]) -> None:
+        size = fields["size"]
         self.dmas_total += 1
         self._dma_seq += 1
         self._last_dma = (self._dma_seq, size)
-        if self._open_by_bdf.get(fields.get("bdf")):
+        if self.open_windows and fields["bdf"] in self._open_by_bdf:
             self.stale_window_dmas += 1
             self.stale_window_bytes += size
 
-    def _on_stale(self) -> None:
+    def _on_stale(self, ts: float, fields: Dict[str, object]) -> None:
         # dma_read/dma_write are emitted before their translations, so
         # the stale hit belongs to the most recent DMA; a multi-page DMA
         # with several stale pages still counts once.
@@ -122,44 +126,43 @@ class ProtectionAuditor:
         self.stale_bytes += last[1]
 
     def _on_unmap(self, ts: float, fields: Dict[str, object]) -> None:
-        bdf = fields.get("bdf")
-        if fields.get("layer") == "riommu":
-            if fields.get("end_of_burst"):
+        bdf = fields["bdf"]
+        if fields["layer"] == "riommu":
+            if fields["end_of_burst"]:
                 # The end-of-burst unmap explicitly invalidated the
                 # ring's entry (kind="ring" already closed its window).
                 return
-            rid = fields.get("rid")
-            rentry = fields.get("rentry")
-            key = (bdf, rid)
+            rentry = fields["rentry"]
+            key = (bdf, fields["rid"])
             if self._ring_cached.get(key) == rentry and key not in self._ring_windows:
                 self._ring_windows[key] = (rentry, ts)
                 self._open_window(bdf)
             return
-        if not fields.get("deferred"):
+        if not fields["deferred"]:
             return  # strict: invalidated synchronously inside the unmap
-        domain = fields.get("domain")
-        vpn = int(fields.get("device_addr", 0)) >> PAGE_SHIFT
-        for i in range(int(fields.get("pages", 1))):
+        domain = fields["domain"]
+        vpn = fields["device_addr"] >> PAGE_SHIFT
+        for i in range(fields["pages"]):
             key = (domain, vpn + i)
             if key not in self._page_windows:
                 self._page_windows[key] = (ts, bdf)
                 self._open_window(bdf)
 
     def _on_invalidate(self, ts: float, fields: Dict[str, object]) -> None:
-        kind = fields.get("kind")
+        kind = fields["kind"]
         if kind == "ring":
-            key = (fields.get("bdf"), fields.get("rid"))
+            key = (fields["bdf"], fields["rid"])
             self._ring_cached.pop(key, None)
             window = self._ring_windows.pop(key, None)
             if window is not None:
                 self._close_window(key[0], ts - window[1])
         elif kind == "page":
-            key = (fields.get("tag"), fields.get("vpn"))
+            key = (fields["tag"], fields["vpn"])
             window = self._page_windows.pop(key, None)
             if window is not None:
                 self._close_window(window[1], ts - window[0])
         elif kind == "device":
-            tag = fields.get("tag")
+            tag = fields["tag"]
             for key in [k for k in self._page_windows if k[0] == tag]:
                 window = self._page_windows.pop(key)
                 self._close_window(window[1], ts - window[0])
@@ -168,9 +171,11 @@ class ProtectionAuditor:
                 self._close_window(window[1], ts - window[0])
             self._page_windows.clear()
 
-    def _on_rtranslate(self, ts: float, fields: Dict[str, object]) -> None:
-        key = (fields.get("bdf"), fields.get("rid"))
-        rentry = fields.get("rentry")
+    def _on_translate(self, ts: float, fields: Dict[str, object]) -> None:
+        if fields["layer"] != "riommu":
+            return
+        key = (fields["bdf"], fields["rid"])
+        rentry = fields["rentry"]
         window = self._ring_windows.get(key)
         if window is not None and window[0] != rentry:
             # The ring's single entry gets replaced by this translation
@@ -185,10 +190,12 @@ class ProtectionAuditor:
 
     def _open_window(self, bdf) -> None:
         self.windows_opened += 1
+        self.open_windows += 1
         self._open_by_bdf[bdf] = self._open_by_bdf.get(bdf, 0) + 1
 
     def _close_window(self, bdf, duration: float) -> None:
         self.windows_closed += 1
+        self.open_windows -= 1
         remaining = self._open_by_bdf.get(bdf, 0) - 1
         if remaining > 0:
             self._open_by_bdf[bdf] = remaining
@@ -210,27 +217,16 @@ class ProtectionAuditor:
         if self._finalized:
             return
         self._finalized = True
-        for (domain, _vpn), (open_ts, bdf) in list(self._page_windows.items()):
-            self.open_at_end += 1
-            self._close_window(bdf, end_ts - open_ts)
-            self.windows_closed -= 1
+        still_open = [(bdf, ts) for ts, bdf in self._page_windows.values()]
+        still_open += [(key[0], ts) for key, (_, ts) in self._ring_windows.items()]
         self._page_windows.clear()
-        for (bdf, _rid), (_rentry, open_ts) in list(self._ring_windows.items()):
+        self._ring_windows.clear()
+        for bdf, open_ts in still_open:
             self.open_at_end += 1
             self._close_window(bdf, end_ts - open_ts)
             self.windows_closed -= 1
-        self._ring_windows.clear()
 
     # -- report ----------------------------------------------------------
-
-    @property
-    def open_windows(self) -> int:
-        """Vulnerability windows currently open, across all devices.
-
-        A live gauge — the timeline sampler reads it after every event
-        to plot §3.2 exposure over modelled time.
-        """
-        return sum(self._open_by_bdf.values())
 
     @property
     def protected(self) -> bool:

@@ -10,16 +10,12 @@ bus.
 
 Three pieces, all reachable through the :data:`LITE` singleton:
 
-* :class:`LiteCounters` — per-account cycle/event folds that reconcile
-  **bit-exactly** with the full-trace :class:`~repro.obs.profile.
-  CycleProfiler`.  No arithmetic of its own is needed: a
-  :class:`~repro.perf.cycles.CycleAccount` folds its charge stream with
-  the same ``exact_add`` arithmetic the streaming profiler replays, so
-  ``account.cycles`` *is* the profiler's per-account ``measured`` dict,
-  bit for bit and in the same insertion order.  Lite therefore only
-  copies account state at phase boundaries: warmup totals at each
-  ``account.reset()`` and measured totals at run end — zero work on the
-  charge path itself.
+* :class:`LiteCounters` — per-account cycle/event views that reconcile
+  **bit-exactly** with the full tier: it *is* the full tier's
+  :class:`~repro.obs.attribution.CycleProfiler`, fed by account hooks
+  instead of the trace bus.  Accounts register at construction and
+  only shed warmup totals at each ``account.reset()`` — zero work on
+  the charge path itself.
 * :class:`FlightRecorder` — a bounded per-domain ring of
   deterministically stride-sampled burst records plus the last N
   records preceding any fault or SLO breach, dumped as ``telemetry/v1``
@@ -38,8 +34,9 @@ lite counters are bit-identical to serial ones.  Grid workers inherit
 
 Import discipline: :mod:`repro.perf.cycles` and :mod:`repro.faults`
 call into :data:`LITE` from their hot paths, so this module imports
-only the stdlib and :mod:`repro.obs.metrics` at module level
-(``Component`` is imported lazily inside presentation methods).
+only the stdlib, :mod:`repro.obs.attribution` and
+:mod:`repro.obs.metrics` at module level (``Component`` is resolved
+lazily by :func:`~repro.obs.attribution.table1_names`).
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.attribution import AccountView, CycleProfiler, reconcile
 from repro.obs.metrics import Log2Histogram, MetricsRegistry
 
 #: Schema identifier stamped on telemetry summaries, JSONL dumps and
@@ -74,20 +72,6 @@ TELEMETRY_EVENTS = frozenset(
     }
 )
 
-#: Table 1 presentation order (lazy: Component imports this module's
-#: caller, repro.perf.cycles, so resolve at first use).
-_COMPONENT_ORDER: Optional[Tuple[str, ...]] = None
-
-
-def _component_order() -> Tuple[str, ...]:
-    global _COMPONENT_ORDER
-    if _COMPONENT_ORDER is None:
-        from repro.perf.cycles import Component
-
-        _COMPONENT_ORDER = tuple(c.value for c in Component)
-    return _COMPONENT_ORDER
-
-
 def _phase_of(actor) -> Optional[int]:
     """The actor's workload phase (0 warmup / 1 measure / 2 done)."""
     phase = getattr(actor, "phase", None)
@@ -107,167 +91,45 @@ def _machine_of(actor):
     return machine
 
 
-class _Entry:
-    """One registered account's live fold: a reference plus warmup state.
+class LiteCounters(CycleProfiler):
+    """The full tier's profiler, fed by account hooks instead of the bus.
 
-    Measured cycles/events are *not* mirrored here — they are read off
-    the account itself when the fold is materialized, which is what
-    makes the lite tier free on the charge path.
-    """
-
-    __slots__ = ("account", "warmup", "warmup_events", "resets")
-
-    def __init__(self, account) -> None:
-        self.account = account
-        self.warmup: Dict[str, float] = {}
-        self.warmup_events: Dict[str, int] = {}
-        self.resets = 0
-
-    def on_reset(self) -> None:
-        """Fold the phase into warmup, exactly like ``_AccountFold.reset``.
-
-        Reads the flushing ``cycles``/``events`` properties *before*
-        ``CycleAccount.reset`` clears them: the account discards staged
-        charges unfolded, but the profiler already folded their
-        emissions, so flushing first is what keeps warmup bit-identical
-        to the full-trace fold (the flush uses the same ``exact_add``).
-        """
-        account = self.account
-        for comp, cycles in account.cycles.items():
-            key = comp.value
-            self.warmup[key] = self.warmup.get(key, 0.0) + cycles
-        for comp, n in account.events.items():
-            key = comp.value
-            self.warmup_events[key] = self.warmup_events.get(key, 0) + n
-        self.resets += 1
-
-    def state(self) -> Optional[Dict[str, object]]:
-        """This fold as plain picklable data; None if never charged.
-
-        Never-charged accounts (e.g. the ``dma-api`` account a driver-
-        backed DMA API replaces at construction) emit no trace events,
-        so the profiler has no fold for them either — skipping keeps
-        the lite fold list aligned with the profiler's first-charge
-        order.
-        """
-        account = self.account
-        cycles = {comp.value: v for comp, v in account.cycles.items()}
-        if not cycles and not self.warmup:
-            return None
-        return {
-            "acct": account.trace_id,
-            "label": account.label,
-            "cycles": cycles,
-            "events": {comp.value: n for comp, n in account.events.items()},
-            "warmup": dict(self.warmup),
-            "warmup_events": dict(self.warmup_events),
-            "resets": self.resets,
-        }
-
-
-class LiteCounters:
-    """Mergeable per-account counter folds for one lite session.
-
-    Mirrors :class:`~repro.obs.profile.CycleProfiler`'s reads
-    (``total``/``by_primitive``/``by_layer``/``by_phase``/
-    ``event_counts``) over a list of fold states: live in-process
-    accounts in registration order, preceded by absorbed shard-worker
-    states in domain order — which is the same order a serial run
-    registers them in, so every merged number is bit-identical across
-    shard layouts.
+    Accounts register at construction (:meth:`LiteTelemetry.on_account`)
+    and shed warmup at ``reset``.  Absorbed shard-worker states come
+    first, in domain order — the order a serial run registers them in —
+    so every merged number is bit-identical across shard layouts.
     """
 
     def __init__(self) -> None:
-        self._entries: List[_Entry] = []
-        self._by_tid: Dict[int, _Entry] = {}
+        super().__init__()
         #: (domain, [fold state, ...]) absorbed from shard workers
         self._absorbed: List[Tuple[int, List[Dict[str, object]]]] = []
 
-    # -- registration hooks ---------------------------------------------
-
-    def register(self, account) -> None:
-        entry = _Entry(account)
-        self._entries.append(entry)
-        self._by_tid[account.trace_id] = entry
-
     def on_reset(self, account) -> None:
-        entry = self._by_tid.get(account.trace_id)
-        if entry is not None:
-            entry.on_reset()
+        view = self.views.get(account)
+        if view is not None:
+            view.on_reset()
 
     # -- shard plumbing --------------------------------------------------
 
     def mark(self) -> int:
         """Position marker for :meth:`cut_since` (shard workers)."""
-        return len(self._entries)
+        return len(self.views)
 
     def cut_since(self, mark: int) -> List[Dict[str, object]]:
-        """Materialize and remove every fold registered since ``mark``."""
-        cut = self._entries[mark:]
-        del self._entries[mark:]
-        states = []
-        for entry in cut:
-            self._by_tid.pop(entry.account.trace_id, None)
-            state = entry.state()
-            if state is not None:
-                states.append(state)
-        return states
+        """Materialize and remove every view registered since ``mark``."""
+        cut = [self.views.pop(account) for account in list(self.views)[mark:]]
+        return [state for state in map(AccountView.state, cut) if state is not None]
 
     def absorb(self, domain: int, states: List[Dict[str, object]]) -> None:
         self._absorbed.append((domain, list(states)))
 
-    # -- reads -----------------------------------------------------------
-
     def folds(self) -> List[Dict[str, object]]:
-        """All fold states: absorbed (domain order) then live."""
+        """All account states: absorbed (domain order) then live."""
         out: List[Dict[str, object]] = []
         for _, states in sorted(self._absorbed, key=lambda item: item[0]):
             out.extend(states)
-        for entry in self._entries:
-            state = entry.state()
-            if state is not None:
-                out.append(state)
-        return out
-
-    @staticmethod
-    def total(folds: List[Dict[str, object]]) -> float:
-        """Measured-phase cycles, summed exactly like the profiler."""
-        return sum(sum(fold["cycles"].values()) for fold in folds)
-
-    @staticmethod
-    def _merge(folds, key: str, order: Tuple[str, ...]) -> Dict[str, float]:
-        merged: Dict[str, float] = {}
-        for fold in folds:
-            for comp, value in fold[key].items():
-                merged[comp] = merged.get(comp, 0) + value
-        return {comp: merged[comp] for comp in order if comp in merged}
-
-    def summary(self) -> Dict[str, object]:
-        """The profile section, shaped like ``CycleProfiler.summary``."""
-        folds = self.folds()
-        order = _component_order()
-        by_layer: Dict[str, Dict[str, float]] = {}
-        for fold in folds:
-            label = fold["label"]
-            name = label if label is not None else f"acct-{fold['acct']}"
-            layer = by_layer.setdefault(name, {})
-            for comp, cycles in fold["cycles"].items():
-                layer[comp] = layer.get(comp, 0.0) + cycles
-        measured = self._merge(folds, "cycles", order)
-        return {
-            "total_cycles": self.total(folds),
-            "by_primitive": measured,
-            "by_layer": by_layer,
-            "by_phase": {
-                "warmup": self._merge(folds, "warmup", order),
-                "measured": measured,
-            },
-            "event_counts": {
-                comp: int(n)
-                for comp, n in self._merge(folds, "events", order).items()
-            },
-            "accounts": len(folds),
-        }
+        return out + super().folds()
 
 
 class FlightRecorder:
@@ -684,7 +546,7 @@ class LiteTelemetry:
         pickles with the account.
         """
         warmups = {}
-        for entry in self.counters._entries:
+        for entry in self.counters.views.values():
             if entry.warmup or entry.resets:
                 warmups[entry.account.trace_id] = {
                     "warmup": dict(entry.warmup),
@@ -702,11 +564,11 @@ class LiteTelemetry:
         """Re-register a resumed sim's accounts and re-attach state."""
         for actor in actors:
             account = actor._clock._account
-            if account.trace_id not in self.counters._by_tid:
+            if account not in self.counters.views:
                 self.counters.register(account)
             saved = state.get("warmups", {}).get(account.trace_id)
             if saved:
-                entry = self.counters._by_tid[account.trace_id]
+                entry = self.counters.views[account]
                 entry.warmup = dict(saved["warmup"])
                 entry.warmup_events = dict(saved["warmup_events"])
                 entry.resets = saved["resets"]
@@ -719,10 +581,7 @@ class LiteTelemetry:
         """One JSON-friendly dict for ``RunResult.telemetry``."""
         profile = self.counters.summary()
         if result is not None:
-            profile["cycles_total"] = result.cycles_total
-            delta = profile["total_cycles"] - result.cycles_total
-            profile["reconcile_delta"] = delta
-            profile["reconciles"] = delta == 0.0
+            reconcile(profile, result)
         return {
             "schema": TELEMETRY_SCHEMA,
             "observe": "lite",

@@ -26,11 +26,17 @@ with tracing on and off.
 Besides recording, the tracer supports streaming *sinks*
 (:meth:`Tracer.subscribe`): callables invoked as ``sink(ts, etype,
 fields)`` for every event, without the event being retained.  The
-cycle-attribution profiler and the protection auditor are sinks — they
-fold the stream as it happens, so observing a long run costs O(1)
-memory instead of a full trace buffer.  Sinks see every event type
-regardless of the recording ``filter`` (the filter only gates what is
-*stored*), and a tracer with sinks but no recording is ``active``.
+cycle-attribution profiler, the protection auditor and the timeline
+are sinks, so observing a long run costs O(1) memory instead of a full
+trace buffer.  Sinks see every event type regardless of the recording
+``filter`` (the filter only gates what is *stored*), and a tracer with
+sinks but no recording is ``active``.
+
+Cycle charges, the hottest event, have a *typed channel*: a sink with
+an ``on_charge`` method gets ``sink.on_charge(ts, account, component,
+cycles, events, n)`` with the account and component objects instead of
+a ``cycle_charge`` dict, which is only built for a recording or a sink
+without ``on_charge``.
 """
 
 from __future__ import annotations
@@ -69,6 +75,33 @@ TraceEvent = Tuple[float, str, Dict[str, object]]
 #: A streaming observer: called as ``sink(ts, etype, fields)`` per event.
 TraceSink = Callable[[float, str, Dict[str, object]], None]
 
+#: One event type's consumer inside a sink: ``handler(ts, fields)``.
+Handler = Callable[[float, Dict[str, object]], None]
+
+
+def route(*tables: Dict[str, Handler]) -> Dict[str, Tuple[Handler, ...]]:
+    """Merge per-event-type handler tables into one dispatch table.
+
+    Every event type gets an entry (empty when nothing handles it), so a
+    sink dispatches with one subscript; handlers of one type run in
+    argument order.
+    """
+    merged: Dict[str, Tuple[Handler, ...]] = dict.fromkeys(EVENT_TYPES, ())
+    for table in tables:
+        for etype, handler in table.items():
+            merged[etype] += (handler,)
+    return merged
+
+
+def _checked(names: frozenset) -> Optional[frozenset]:
+    unknown = names - EVENT_TYPES
+    if unknown:
+        raise ValueError(
+            f"unknown trace event type(s) {sorted(unknown)}; "
+            f"known: {', '.join(sorted(EVENT_TYPES))}"
+        )
+    return names or None
+
 
 def parse_filter(spec: Optional[str]) -> Optional[frozenset]:
     """Parse a ``--trace-filter`` comma-separated event list.
@@ -78,14 +111,7 @@ def parse_filter(spec: Optional[str]) -> Optional[frozenset]:
     """
     if not spec:
         return None
-    names = frozenset(part.strip() for part in spec.split(",") if part.strip())
-    unknown = names - EVENT_TYPES
-    if unknown:
-        raise ValueError(
-            f"unknown trace event type(s) {sorted(unknown)}; "
-            f"known: {', '.join(sorted(EVENT_TYPES))}"
-        )
-    return names or None
+    return _checked(frozenset(part.strip() for part in spec.split(",") if part.strip()))
 
 
 class Tracer:
@@ -101,6 +127,8 @@ class Tracer:
         "active",
         "recording",
         "sinks",
+        "typed",
+        "untyped",
         "events",
         "now",
         "filter",
@@ -115,6 +143,9 @@ class Tracer:
         self.recording: bool = False
         #: streaming observers fed every event (never filtered, never stored)
         self.sinks: Tuple[TraceSink, ...] = ()
+        #: the sinks taking charges on the typed channel, and the rest
+        self.typed: Tuple[TraceSink, ...] = ()
+        self.untyped: Tuple[TraceSink, ...] = ()
         self.events: List[TraceEvent] = []
         self.now: float = 0.0
         self.filter: Optional[frozenset] = None
@@ -136,17 +167,7 @@ class Tracer:
         bounds memory on very long runs — overflowing events are
         counted in :attr:`dropped` instead of stored.
         """
-        if filter is not None:
-            names = frozenset(filter)
-            unknown = names - EVENT_TYPES
-            if unknown:
-                raise ValueError(
-                    f"unknown trace event type(s) {sorted(unknown)}; "
-                    f"known: {', '.join(sorted(EVENT_TYPES))}"
-                )
-            self.filter = names or None
-        else:
-            self.filter = None
+        self.filter = None if filter is None else _checked(frozenset(filter))
         self.events = []
         self.now = 0.0
         self.max_events = max_events
@@ -167,7 +188,7 @@ class Tracer:
         """Drop everything — events and sinks — and return to disabled."""
         self.active = False
         self.recording = False
-        self.sinks = ()
+        self._set_sinks(())
         self.events = []
         self.now = 0.0
         self.filter = None
@@ -181,16 +202,23 @@ class Tracer:
 
         The sink is called as ``sink(ts, etype, fields)`` for every
         event, including types excluded by the recording ``filter``.
-        Sinks must not mutate ``fields`` and must never charge cycles
-        (that would feed the bus its own output).
+        A sink with an ``on_charge`` method takes cycle charges on the
+        typed channel instead (see the module docstring).  Sinks must
+        not mutate ``fields`` and must never charge cycles (that would
+        feed the bus its own output).
         """
-        self.sinks = self.sinks + (sink,)
+        self._set_sinks(self.sinks + (sink,))
         self.active = True
 
     def unsubscribe(self, sink: TraceSink) -> None:
         """Detach a previously subscribed sink (no-op if absent)."""
-        self.sinks = tuple(s for s in self.sinks if s is not sink)
+        self._set_sinks(tuple(s for s in self.sinks if s is not sink))
         self.active = self.recording or bool(self.sinks)
+
+    def _set_sinks(self, sinks: Tuple[TraceSink, ...]) -> None:
+        self.sinks = sinks
+        self.typed = tuple(s for s in sinks if hasattr(s, "on_charge"))
+        self.untyped = tuple(s for s in sinks if not hasattr(s, "on_charge"))
 
     def _quarantine(
         self, sink: TraceSink, error: BaseException, etype: str
@@ -232,16 +260,36 @@ class Tracer:
                 sink(self.now, etype, fields)
             except Exception as error:
                 self._quarantine(sink, error, etype)
-        if not self.recording:
-            return
+        if self.recording:
+            self._record(self.now, etype, fields)
+
+    def _record(self, ts: float, etype: str, fields: Dict[str, object]) -> None:
         f = self.filter
         if f is not None and etype not in f:
             return
-        events = self.events
-        if self.max_events is not None and len(events) >= self.max_events:
+        if self.max_events is not None and len(self.events) >= self.max_events:
             self.dropped += 1
             return
-        events.append((self.now, etype, fields))
+        self.events.append((ts, etype, fields))
+
+    def charge(self, account, component, cycles: float, events: int, n: int) -> None:
+        """Deliver one cycle charge on the typed channel; advance the cursor.
+
+        :class:`~repro.perf.cycles.CycleAccount` calls this (guarded by
+        ``TRACE.active``); the ``cycle_charge`` dict is built only for a
+        recording or an untyped sink.
+        """
+        ts = self.now
+        self.now = ts + cycles * n
+        for sink in self.typed:
+            try:
+                sink.on_charge(ts, account, component, cycles, events, n)
+            except Exception as error:
+                self._quarantine(sink, error, "cycle_charge")
+        if self.recording or self.untyped:
+            self._charge_event(
+                ts, account.trace_id, component.value, cycles, events, n, account.label
+            )
 
     def emit_charge(
         self,
@@ -252,7 +300,7 @@ class Tracer:
         n: int,
         label: Optional[str] = None,
     ) -> None:
-        """Record one cycle charge and advance the timeline cursor.
+        """Record one cycle charge as a dict event and advance the cursor.
 
         ``acct`` identifies the charged :class:`CycleAccount`, ``comp``
         is the Table 1 component, ``cycles`` the per-invocation cost,
@@ -260,10 +308,14 @@ class Tracer:
         count (so ``charge_many`` folds arrive as one event).  ``label``
         is the account's layer tag, carried only when set.  The cursor
         advances by ``cycles * n`` even when ``cycle_charge`` is
-        filtered out — the clock must not depend on the filter.
+        filtered out — the clock must not depend on the filter.  Only
+        untyped sinks see it: typed ones need the account itself.
         """
         ts = self.now
         self.now = ts + cycles * n
+        self._charge_event(ts, acct, comp, cycles, events, n, label)
+
+    def _charge_event(self, ts, acct, comp, cycles, events, n, label) -> None:
         fields: Dict[str, object] = {
             "acct": acct,
             "comp": comp,
@@ -273,26 +325,20 @@ class Tracer:
         }
         if label is not None:
             fields["label"] = label
-        for sink in self.sinks:
+        for sink in self.untyped:
             try:
                 sink(ts, "cycle_charge", fields)
             except Exception as error:
                 self._quarantine(sink, error, "cycle_charge")
-        if not self.recording:
-            return
-        f = self.filter
-        if f is not None and "cycle_charge" not in f:
-            return
-        evs = self.events
-        if self.max_events is not None and len(evs) >= self.max_events:
-            self.dropped += 1
-            return
-        evs.append((ts, "cycle_charge", fields))
+        if self.recording:
+            self._record(ts, "cycle_charge", fields)
 
     def emit_reset(self, acct: int) -> None:
-        """Record that an account was zeroed (e.g. after warmup)."""
-        if not self.active:
-            return
+        """Record that an account is being zeroed (e.g. after warmup).
+
+        ``CycleAccount.reset`` emits this *before* clearing, so sinks can
+        still read the totals the reset discards.
+        """
         self.emit("cycle_reset", acct=acct)
 
     # -- introspection ---------------------------------------------------

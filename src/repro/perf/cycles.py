@@ -41,8 +41,8 @@ _EXACT_LIMIT = float(1 << 53)
 def exact_add(total: float, cycles: float, count: int) -> float:
     """``total`` plus ``count`` repeated additions of ``cycles``, bit-exact.
 
-    The shared arithmetic behind :meth:`CycleAccount._fold` and the
-    streaming profiler's replay: multiplies only when the running total
+    The arithmetic behind :meth:`CycleAccount._fold` (and any replay of
+    a recorded charge stream): multiplies only when the running total
     and the per-charge cost are both integral and the result stays
     within the float-exact range (where integer addition commutes with
     multiplication in binary64), and replays the addition loop
@@ -142,7 +142,7 @@ class CycleAccount:
         self._staged: Dict[Component, List] = {}
         self._tid: int = next(CycleAccount._ids)
         #: layer tag carried on every emitted ``cycle_charge`` event, so
-        #: the attribution profiler can break cycles down per layer
+        #: attribution can break cycles down per layer
         self._label: Optional[str] = label
         if LITE.active:
             LITE.on_account(self)
@@ -212,7 +212,7 @@ class CycleAccount:
         self._cycles[component] = self._cycles.get(component, 0.0) + cycles
         self._events[component] = self._events.get(component, 0) + events
         if TRACE.active:
-            TRACE.emit_charge(self._tid, component.value, cycles, events, 1, self._label)
+            TRACE.charge(self, component, cycles, events, 1)
 
     def charge_many(self, component: Component, cycles: float, events: int) -> None:
         """Charge ``events`` identical invocations of ``cycles`` each.
@@ -231,7 +231,7 @@ class CycleAccount:
                 self._fold(component, pending)
         self._fold(component, [cycles, 1, events])
         if TRACE.active:
-            TRACE.emit_charge(self._tid, component.value, cycles, 1, events, self._label)
+            TRACE.charge(self, component, cycles, 1, events)
 
     def stage(self, component: Component, cycles: float, events: int = 1) -> None:
         """Stage one charge, coalescing repeats into a counter.
@@ -249,7 +249,7 @@ class CycleAccount:
             if pending[0] == cycles and pending[1] == events:
                 pending[2] += 1
                 if TRACE.active:
-                    TRACE.emit_charge(self._tid, component.value, cycles, events, 1, self._label)
+                    TRACE.charge(self, component, cycles, events, 1)
                 return
             del staged[component]
             self._fold(component, pending)
@@ -263,7 +263,7 @@ class CycleAccount:
             self._events[component] = 0
         staged[component] = [cycles, events, 1]
         if TRACE.active:
-            TRACE.emit_charge(self._tid, component.value, cycles, events, 1, self._label)
+            TRACE.charge(self, component, cycles, events, 1)
 
     def stage_many(self, component: Component, cycles: float, count: int, events: int = 1) -> None:
         """Stage ``count`` identical charges in one step.
@@ -272,8 +272,7 @@ class CycleAccount:
         ``stage(component, cycles, events)`` — the columnar burst loops
         use it to charge a whole burst's worth of one component with a
         single dict operation.  Emits one counted ``cycle_charge`` trace
-        event, which the streaming profiler folds with the same
-        :func:`exact_add` arithmetic the account itself uses.
+        event.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -287,7 +286,7 @@ class CycleAccount:
             if pending[0] == cycles and pending[1] == events:
                 pending[2] += count
                 if TRACE.active:
-                    TRACE.emit_charge(self._tid, component.value, cycles, events, count, self._label)
+                    TRACE.charge(self, component, cycles, events, count)
                 return
             del staged[component]
             self._fold(component, pending)
@@ -301,7 +300,7 @@ class CycleAccount:
             self._events[component] = 0
         staged[component] = [cycles, events, count]
         if TRACE.active:
-            TRACE.emit_charge(self._tid, component.value, cycles, events, count, self._label)
+            TRACE.charge(self, component, cycles, events, count)
 
     # -- reads ----------------------------------------------------------
 
@@ -341,16 +340,16 @@ class CycleAccount:
 
     def reset(self) -> None:
         """Zero the account."""
+        # Both hooks run before the clears: observers read the flushing
+        # ``cycles`` property there, so the warmup totals they keep
+        # include staged charges.
         if LITE.active:
-            # Must run before the clears: the lite fold reads the
-            # flushing ``cycles`` property so its warmup totals include
-            # staged charges, exactly like the trace-bus profiler's.
             LITE.on_reset(self)
+        if TRACE.active:
+            TRACE.emit_reset(self._tid)
         self._staged.clear()
         self._cycles.clear()
         self._events.clear()
-        if TRACE.active:
-            TRACE.emit_reset(self._tid)
 
     def breakdown(self) -> Mapping[str, float]:
         """Totals keyed by the Table 1 component names."""

@@ -146,6 +146,151 @@ def test_tracing_does_not_change_account_numbers():
     assert plain == traced
 
 
+# -- the typed charge channel ----------------------------------------------
+
+
+class _TypedSink:
+    """Takes charges on the typed channel, every other event as a dict."""
+
+    def __init__(self):
+        self.charges = []
+        self.events = []
+
+    def on_charge(self, ts, account, component, cycles, events, n):
+        self.charges.append((ts, account, component, cycles, events, n))
+
+    def __call__(self, ts, etype, fields):
+        self.events.append(etype)
+
+
+def test_typed_sink_gets_account_and_component_objects():
+    sink = _TypedSink()
+    TRACE.subscribe(sink)
+    account = CycleAccount(label="typed")
+    account.charge(Component.IOVA_ALLOC, 10.0)
+    account.charge_many(Component.PROCESSING, 5.0, 3)
+    TRACE.emit("map", bdf=1)
+    assert sink.charges == [
+        (0.0, account, Component.IOVA_ALLOC, 10.0, 1, 1),
+        (10.0, account, Component.PROCESSING, 5.0, 1, 3),
+    ]
+    assert sink.events == ["map"]  # no cycle_charge dict on the dict path
+    assert TRACE.now == 25.0
+
+
+def test_typed_sinks_alone_build_no_charge_dict(monkeypatch):
+    def no_dict(*args):
+        raise AssertionError("cycle_charge dict built with no consumer")
+
+    monkeypatch.setattr(Tracer, "_charge_event", no_dict)
+    TRACE.subscribe(_TypedSink())
+    CycleAccount().charge(Component.MAP_OTHER, 44.0)
+    assert TRACE.now == 44.0
+
+
+def test_untyped_sinks_and_recording_still_get_the_charge_dict():
+    seen = []
+    TRACE.enable()
+    TRACE.subscribe(_TypedSink())
+    TRACE.subscribe(lambda ts, etype, fields: seen.append((etype, dict(fields))))
+    account = CycleAccount(label="dict")
+    account.stage_many(Component.IOTLB_INV, 7.0, 4)
+    expected = {
+        "acct": account.trace_id,
+        "comp": "unmap.iotlb_inv",
+        "cycles": 7.0,
+        "events": 1,
+        "n": 4,
+        "label": "dict",
+    }
+    assert seen == [("cycle_charge", expected)]
+    assert TRACE.events == [(0.0, "cycle_charge", expected)]
+
+
+def test_raising_typed_sink_is_detached_and_other_sinks_keep_streaming():
+    class ExplodingProfiler:
+        def on_charge(self, ts, account, component, cycles, events, n):
+            raise RuntimeError("typed sink exploded")
+
+        def __call__(self, ts, etype, fields):
+            pass
+
+    exploding = ExplodingProfiler()
+    typed = _TypedSink()
+    untyped = []
+    TRACE.subscribe(exploding)
+    TRACE.subscribe(typed)
+    TRACE.subscribe(lambda ts, etype, fields: untyped.append(etype))
+    account = CycleAccount()
+    with pytest.warns(RuntimeWarning) as caught:
+        account.charge(Component.MAP_OTHER, 44.0)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "ExplodingProfiler" in message
+    assert "'cycle_charge'" in message
+    assert "detached" in message
+    assert exploding not in TRACE.sinks and exploding not in TRACE.typed
+    # The charge landed, and both other sinks saw it and keep streaming.
+    account.charge(Component.MAP_OTHER, 44.0)
+    assert account.total() == 88.0
+    assert [charge[0] for charge in typed.charges] == [0.0, 44.0]
+    assert untyped == ["cycle_charge", "cycle_charge"]
+
+
+def test_reset_is_emitted_before_the_account_clears():
+    totals = []
+
+    def sink(ts, etype, fields):
+        if etype == "cycle_reset":
+            totals.append(account.total())
+
+    TRACE.subscribe(sink)
+    account = CycleAccount()
+    account.stage(Component.PROCESSING, 30.0)
+    account.stage(Component.PROCESSING, 30.0)
+    account.reset()
+    assert totals == [60.0]
+    assert account.total() == 0.0
+
+
+# -- repro table1 --trace artefacts, pinned byte for byte -------------------
+
+#: sha256 of each artefact ``repro table1 --fast --trace t.jsonl`` writes.
+#: The trace carries process-global account ids, so it is only
+#: reproducible from a fresh interpreter.
+TABLE1_TRACE_SHA256 = {
+    "t.jsonl": "49d4ec234fc00ece0ece6c546a39ec43872f3433fd2fe0c8c683cd6b117e45ef",
+    "t.chrome.json": "fa5314953768247b8fddcae6e069e83d4e2b166efe13477948a66e5e101d1cca",
+    "t.metrics.json": "6d2a544b74cedee3717c7f3e92d20568c0b45f2249dd3f76e3dc7941335ea60a",
+}
+
+
+def test_table1_trace_artefacts_are_byte_identical(tmp_path):
+    import hashlib
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = src
+    subprocess.run(
+        [sys.executable, "-m", "repro", "table1", "--fast", "--trace", "t.jsonl"],
+        cwd=tmp_path,
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in TABLE1_TRACE_SHA256
+    }
+    assert digests == TABLE1_TRACE_SHA256
+
+
 # -- exporters -------------------------------------------------------------
 
 
