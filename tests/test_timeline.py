@@ -123,6 +123,40 @@ def test_hit_rate_and_gbps_populated_once_traffic_flows():
     assert speeds and all(s > 0 for s in speeds)
 
 
+# -- standalone sinks == the fused observer --------------------------------
+
+
+def test_standalone_sinks_match_the_fused_observer():
+    """Profiler, auditor and sampler subscribed on their own agree with
+    the one fused ``RunObserver`` on the same cell, bit for bit."""
+    from repro.config import RunConfig
+    from repro.obs.attribution import CycleProfiler
+    from repro.obs.audit import ProtectionAuditor
+    from repro.sim.runner import run_with_config
+
+    fused = run_with_config(
+        MLX_SETUP, Mode.DEFER, "stream", RunConfig(fast=True, observe="full")
+    ).obs
+    TRACE.reset()
+    profiler = CycleProfiler()
+    auditor = ProtectionAuditor()
+    sampler = TimelineSampler(clock_hz=MLX_SETUP.clock_hz, auditor=auditor)
+    for sink in (profiler, auditor, sampler):  # the auditor before the sampler
+        TRACE.subscribe(sink)
+    run_with_config(MLX_SETUP, Mode.DEFER, "stream", RunConfig(fast=True))
+    auditor.finalize(TRACE.now)
+    sampler.finalize(TRACE.now)
+    TRACE.reset()
+    assert sampler.summary() == fused["timeline"]
+    assert {**auditor.report(), "mode": "defer", "mode_expected_safe": False} == (
+        fused["audit"]
+    )
+    profile = profiler.summary()
+    assert profile == {
+        key: fused["profile"][key] for key in profile
+    }
+
+
 # -- deterministic merging ------------------------------------------------
 
 
