@@ -9,13 +9,11 @@ process — once under the ``scalar`` reference build, once under the
 * neither run regresses past the history sentinel's rolling median
   for its *own* build (``--max-regression``, default 0.25).
 
-On top of the build gate, the event-kernel gate checks the scheduler
-refactor's contract on every run:
+On top of the build gate, the event-kernel gate checks the scheduler's
+contract on every run:
 
-* every representative cell is bit-identical between the legacy loop
-  engine and the event kernel (``to_dict`` equality), and the
-  multi-ring cell is bit-identical between serial and sharded
-  execution;
+* the multi-ring cell is bit-identical (``to_dict`` equality) between
+  serial and sharded execution;
 * on hosts with enough cores (>= the shard count), the sharded run of
   the multi-ring cell is at least ``--min-shard-speedup`` (default
   1.5×) faster than the serial reference.  On smaller hosts the
@@ -88,40 +86,32 @@ def cell_seconds(
     return None
 
 
-def check_engine_parity(
-    cells: Sequence[Tuple[str, str, str]] = REPRESENTATIVE_CELLS,
-    shards: int = 4,
-) -> Tuple[List[Dict[str, object]], List[str]]:
-    """Bit-parity sweep: loop vs event kernel, serial vs sharded.
+def check_shard_parity(shards: int = 4) -> Tuple[Dict[str, object], List[str]]:
+    """Bit-parity check: the multi-ring cell, serial vs sharded.
 
-    Every cell must produce an identical ``to_dict`` under the legacy
-    loop engine and the event kernel; the multi-ring sharding cell must
-    additionally be identical between serial and ``shards``-way sharded
-    execution.  Returns ``(rows, errors)``.
+    The sharding cell must produce an identical ``to_dict`` serially
+    and under ``shards``-way sharded execution.  Returns
+    ``(row, errors)``.
     """
-    rows: List[Dict[str, object]] = []
-    errors: List[str] = []
-    loop_config = RunConfig.from_env(fast=True, engine="loop", shards=1)
-    events_config = RunConfig.from_env(fast=True, engine="events", shards=1)
-    sharded_config = RunConfig.from_env(fast=True, engine="events", shards=shards)
-    for setup_name, benchmark, mode_label in cells:
-        setup = setup_by_name(setup_name)
-        mode = Mode(mode_label)
-        key = perf_history.cell_key(setup_name, benchmark, mode_label)
-        loop = run_with_config(setup, mode, benchmark, loop_config)
-        events = run_with_config(setup, mode, benchmark, events_config)
-        row = {"cell": key, "loop_vs_events": loop.to_dict() == events.to_dict()}
-        if not row["loop_vs_events"]:
-            errors.append(f"{key}: event kernel diverges from the loop engine")
-        if (setup_name, benchmark, mode_label) == SHARDING_CELL:
-            sharded = run_with_config(setup, mode, benchmark, sharded_config)
-            row["serial_vs_sharded"] = events.to_dict() == sharded.to_dict()
-            if not row["serial_vs_sharded"]:
-                errors.append(
-                    f"{key}: {shards}-shard run diverges from the serial reference"
-                )
-        rows.append(row)
-    return rows, errors
+    setup_name, benchmark, mode_label = SHARDING_CELL
+    setup = setup_by_name(setup_name)
+    mode = Mode(mode_label)
+    key = perf_history.cell_key(setup_name, benchmark, mode_label)
+    serial = run_with_config(
+        setup, mode, benchmark, RunConfig.from_env(fast=True, shards=1)
+    )
+    sharded = run_with_config(
+        setup, mode, benchmark, RunConfig.from_env(fast=True, shards=shards)
+    )
+    row = {
+        "cell": key,
+        "shards": shards,
+        "serial_vs_sharded": serial.to_dict() == sharded.to_dict(),
+    }
+    errors = []
+    if not row["serial_vs_sharded"]:
+        errors.append(f"{key}: {shards}-shard run diverges from the serial reference")
+    return row, errors
 
 
 def shard_speedup_skip_reason(
@@ -271,10 +261,9 @@ def run_gate(
                 errors.append(f"[{build}] {error}")
             perf_history.append_history(reports[build], history_path)
 
-    # The event-kernel gate: bit-parity (loop vs events, serial vs
-    # sharded) on every run, shard wall-clock speedup where the host
-    # has the cores to show one.
-    parity_rows, parity_errors = check_engine_parity(shards=shards)
+    # The event-kernel gate: serial-vs-sharded bit-parity on every run,
+    # shard wall-clock speedup where the host has the cores to show one.
+    parity_row, parity_errors = check_shard_parity(shards=shards)
     errors.extend(parity_errors)
     shard_speedup, shard_errors = check_shard_speedup(min_shard_speedup, shards)
     errors.extend(shard_errors)
@@ -295,7 +284,7 @@ def run_gate(
         "max_lite_overhead": max_lite_overhead,
         "passed": not errors,
         "stream_cells": comparisons,
-        "engine_parity": parity_rows,
+        "shard_parity": parity_row,
         "shard_speedup": shard_speedup,
         "lite_overhead": lite_overhead,
         "errors": errors,
@@ -368,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--lite-only",
         action="store_true",
         help="run only the lite-overhead check (the CI telemetry-smoke "
-        "configuration): no build/engine/shard gates, no history",
+        "configuration): no build/shard gates, no history",
     )
     parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
     parser.add_argument(
@@ -447,12 +436,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"columnar {row['columnar_seconds']}s "
             f"-> {row['speedup_vs_scalar']}x"
         )
-    parity_ok = sum(
-        1 for row in gate_report["engine_parity"] if row["loop_vs_events"]
-    )
+    parity = gate_report["shard_parity"]
     print(
-        f"engine parity: {parity_ok}/{len(gate_report['engine_parity'])} "
-        f"cells bit-identical loop vs events"
+        f"shard parity ({parity['cell']}, {parity['shards']} shards): "
+        + ("bit-identical to serial" if parity["serial_vs_sharded"] else "DIVERGES")
     )
     shard = gate_report["shard_speedup"]
     if shard.get("skipped"):

@@ -93,12 +93,10 @@ def history_entry(report: Dict[str, object]) -> Dict[str, object]:
         "cells": cells,
     }
     # v2/v3 extensions carried through when the report has them: the
-    # simulation engine the timings were taken under, the intra-run
-    # sharding measurement (serial vs sharded wall-clock on the
-    # multi-ring cell), and the observe=off vs observe=lite overhead
-    # column.
-    if report.get("engine") is not None:
-        entry["engine"] = report["engine"]
+    # intra-run sharding measurement (serial vs sharded wall-clock on
+    # the multi-ring cell) and the observe=off vs observe=lite overhead
+    # column.  (Older v2 entries also carry an ``engine`` field from
+    # when a second engine existed; readers ignore it.)
     if report.get("sharding") is not None:
         entry["sharding"] = report["sharding"]
     if report.get("observe_lite") is not None:

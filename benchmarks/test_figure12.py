@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.analysis.figure12 import Figure12Result
 from repro.modes import ALL_MODES, Mode
 from repro.sim import run_figure12
@@ -9,7 +10,7 @@ from repro.sim import run_figure12
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_figure12(fast=False)
+    return run_figure12(config=RunConfig())
 
 
 @pytest.mark.benchmark(group="figure12")

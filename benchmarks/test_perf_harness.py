@@ -48,7 +48,7 @@ def test_harness_smoke_emits_report(tmp_path):
     # balanced multi-tenant scenario under strict and under rIOMMU.
     tenant_rows = [r for r in on_disk["cells"] if r["benchmark"] == "tenants"]
     assert {r["mode"] for r in tenant_rows} == {"strict", "riommu"}
-    assert on_disk["engine"] in ("loop", "events")
+    assert "engine" not in on_disk
     assert on_disk["shards"] >= 1
     assert on_disk["observe"] in ("off", "lite", "full")
     sharding = on_disk["sharding"]
@@ -162,9 +162,10 @@ def test_lite_overhead_gate_quantifies_breaches(monkeypatch):
 def test_fastpath_speeds_up_single_cell():
     """The stream cell must be >= 15% faster with fast paths enabled.
 
-    The slow path is forced in a subprocess via REPRO_DISABLE_FASTPATH
-    (the flag is read at import time), so both arms measure the same
-    code on the same machine back to back.  Note the flag only gates
+    The slow arm runs in a subprocess under the ``batched`` build with
+    the fast-path flag switched off in every module that copies it, so
+    both arms measure the same code on the same machine back to back.
+    Note the flag only gates
     the chunk-loop fast paths and the translation memo; the always-on
     micro-optimisations (context-lookup cache, cached rbtree keys,
     inlined cacheline arithmetic) speed up *both* arms, which is why
@@ -173,8 +174,14 @@ def test_fastpath_speeds_up_single_cell():
     0.57s baseline for this cell, ~30%).
     """
     code = (
-        "import time\n"
+        "import sys, time\n"
         "from repro.sim.parallel import run_cell\n"
+        "if sys.argv[1:] == ['slow']:\n"
+        "    import repro.datapath, repro.devices.dma, repro.memory.physical\n"
+        "    repro.datapath.set_datapath('batched')\n"
+        "    for module in (repro.datapath, repro.devices.dma,\n"
+        "                   repro.memory.physical):\n"
+        "        module.FASTPATH_ENABLED = False\n"
         "cell = ('mlx', 'stream', 'strict', False)\n"
         "best = min(\n"
         "    (lambda t0: (run_cell(cell), time.perf_counter() - t0)[1])(\n"
@@ -184,19 +191,20 @@ def test_fastpath_speeds_up_single_cell():
         "print(best)\n"
     )
 
-    def run(extra_env):
-        env = dict(os.environ, **extra_env)
+    def run(*args):
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
         )
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            [sys.executable, "-c", code, *args],
+            env=env, capture_output=True, text=True,
         )
         assert out.returncode == 0, out.stderr
         return float(out.stdout.strip())
 
-    fast = run({})
-    slow = run({"REPRO_DISABLE_FASTPATH": "1"})
+    fast = run()
+    slow = run("slow")
     assert fast <= slow * 0.85, f"fastpath {fast:.3f}s vs slowpath {slow:.3f}s"
 
 
@@ -206,6 +214,9 @@ def test_parallel_grid_speedup():
     """jobs=4 must beat serial by >= 2x on a 4-core machine."""
     from repro.sim.runner import run_figure12
 
-    serial = time_call(lambda: run_figure12(fast=True, jobs=1), repeats=1)
-    parallel = time_call(lambda: run_figure12(fast=True, jobs=4), repeats=1)
+    from repro.config import RunConfig
+
+    fast = RunConfig(fast=True)
+    serial = time_call(lambda: run_figure12(jobs=1, config=fast), repeats=1)
+    parallel = time_call(lambda: run_figure12(jobs=4, config=fast), repeats=1)
     assert parallel <= serial / 2, f"serial {serial:.2f}s, jobs=4 {parallel:.2f}s"

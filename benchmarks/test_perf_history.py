@@ -184,16 +184,29 @@ def test_regression_check_compares_within_quick_pool(tmp_path):
     assert check_history_regression(ok, history, 0.25) is None
 
 
-def test_history_entry_carries_engine_and_sharding():
+def test_history_entry_carries_engine_and_sharding(tmp_path):
     report = _report(0.07)
-    report["engine"] = "events"
     report["sharding"] = {"cell": "mlx/mstream/strict", "speedup_vs_serial": 2.1}
     entry = history_entry(report)
-    assert entry["engine"] == "events"
     assert entry["sharding"]["speedup_vs_serial"] == 2.1
     # Reports without the v2 extensions produce entries without them.
     bare = history_entry(_report(0.07))
     assert "engine" not in bare and "sharding" not in bare
+    # A literal v2 entry written while a second engine existed still
+    # loads and still serves as a baseline; its engine field is ignored.
+    old = (
+        '{"cells": {"mlx/stream/strict": 0.07}, "cpu_count": 4, '
+        '"datapath": "batched", "engine": "events", "fast": true, '
+        '"fastpath_enabled": true, "python": "3.11.7", "quick": true, '
+        '"schema": "riommu-repro/bench-history/v2", '
+        '"timestamp": "2026-08-07T00:00:00"}'
+    )
+    path = tmp_path / "history.jsonl"
+    path.write_text(old + "\n")
+    history = load_history(path)
+    assert history[0]["engine"] == "events"
+    assert check_history_regression(_report(0.07), history, 0.25) is None
+    assert check_history_regression(_report(0.2), history, 0.25) is not None
 
 
 def test_history_entry_carries_the_observe_tier():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.analysis import table2_from_grid
 from repro.analysis.paper_data import PAPER_TABLE2, TABLE2_DENOMINATORS
 from repro.modes import Mode
@@ -11,7 +12,9 @@ from repro.sim import run_figure12
 @pytest.mark.benchmark(group="table2")
 def test_table2(benchmark, save_artifact):
     result = benchmark.pedantic(
-        lambda: table2_from_grid(run_figure12(fast=False)), rounds=1, iterations=1
+        lambda: table2_from_grid(run_figure12(config=RunConfig())),
+        rounds=1,
+        iterations=1,
     )
     save_artifact("table2", result.render())
 

@@ -12,6 +12,7 @@ Run:  python examples/reproduce_paper.py [--fast]
 import argparse
 import time
 
+from repro.config import RunConfig
 from repro.analysis import (
     ablate_prefetch,
     run_figure7,
@@ -55,7 +56,7 @@ def main() -> None:
     print(f"max model-vs-busywait error: {figure8.max_model_error():.2%}")
 
     banner("E4  Figure 12 — both setups x five benchmarks x seven modes")
-    grid = run_figure12(fast=fast)
+    grid = run_figure12(config=RunConfig(fast=fast))
     print(Figure12Result(grid=grid).render())
 
     banner("E5  Table 2 — normalised performance (measured vs paper)")

@@ -30,10 +30,11 @@ from repro.kernel.net_driver import NetDriver
 from repro.modes import Mode
 from repro.perf.costs import TABLE1_CYCLES
 from repro.perf.cycles import Component
-from repro.perf.model import gbps_from_cycles, throughput_with_line_rate
-from repro.sim.netperf import NIC_BDF, build_machine
+from repro.perf.model import gbps_from_cycles
+from repro.sim.netperf import NIC_BDF, NetperfStream
 from repro.sim.memcached import MemcachedBench
 from repro.sim.parallel import parallel_map, resolve_jobs
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 # Every sweep below accepts ``jobs``: points are independent simulations,
@@ -74,35 +75,14 @@ class BurstSweepResult:
 def _burst_point(args: Tuple[int, int, int]) -> Tuple[int, float, float]:
     """One burst-length sweep point: (burst, packets, warmup) -> row."""
     burst, packets, warmup = args
-    machine = build_machine(MLX_SETUP, Mode.RIOMMU)
-    nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
-    driver = NetDriver(machine, nic, coalesce_threshold=burst)
-    driver.fill_rx()
-    payload = b"\x55" * 1500
-
-    def send(count: int) -> None:
-        sent = 0
-        while sent < count:
-            if driver.transmit(payload):
-                driver.account.charge(Component.PROCESSING, MLX_SETUP.c_none_stream)
-                sent += 1
-                if sent % 32 == 0:
-                    driver.pump_tx()
-            else:
-                driver.pump_tx()
-        driver.pump_tx()
-        driver.flush_tx()
-
-    send(warmup)
-    driver.account.reset()
-    base = driver.stats.packets_transmitted
-    send(packets)
-    measured = driver.stats.packets_transmitted - base
-    cycles = driver.account.total() / measured
-    perf = throughput_with_line_rate(
-        cycles, MLX_SETUP.clock_hz, MLX_SETUP.nic_profile.line_rate_gbps
+    stream = NetperfStream(
+        packets=packets,
+        warmup=warmup,
+        pump_interval=32,
+        driver_kwargs={"coalesce_threshold": burst},
     )
-    return (burst, cycles, perf.gbps)
+    result = run_events(stream, MLX_SETUP, Mode.RIOMMU)
+    return (burst, result.cycles_per_packet, result.gbps)
 
 
 def sweep_burst_length(
@@ -286,7 +266,7 @@ def _pathology_point(args: Tuple[float, int]) -> Tuple[float, float]:
         warmup=20,
         machine_kwargs={"cost_overrides": {Component.IOVA_ALLOC: base_alloc * scale}},
     )
-    strict = scaled.run(MLX_SETUP, Mode.STRICT).throughput_metric
+    strict = run_events(scaled, MLX_SETUP, Mode.STRICT).throughput_metric
     return (scale, strict)
 
 
@@ -304,7 +284,7 @@ def sweep_alloc_pathology(
     32-way-concurrent request traffic.
     """
     bench = MemcachedBench(requests=requests, warmup=20)
-    riommu = bench.run(MLX_SETUP, Mode.RIOMMU).throughput_metric
+    riommu = run_events(bench, MLX_SETUP, Mode.RIOMMU).throughput_metric
     strict_points = parallel_map(
         _pathology_point, [(s, requests) for s in scales], resolve_jobs(jobs)
     )

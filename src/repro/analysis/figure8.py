@@ -13,15 +13,15 @@ series, as in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.ascii_plot import xy_plot
 from repro.analysis.report import format_table
 from repro.modes import ALL_MODES, Mode
-from repro.perf.cycles import Component
-from repro.perf.model import gbps_from_cycles, throughput_with_line_rate
-from repro.sim.netperf import NetperfStream, NIC_BDF, build_machine
+from repro.perf.model import gbps_from_cycles
+from repro.sim.netperf import NetperfStream
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 
@@ -78,41 +78,11 @@ class Figure8Result:
 
 
 def _run_busywait_point(busy_cycles: float, packets: int, warmup: int) -> Tuple[float, float]:
-    """Measure the none-mode sim with an extra per-packet busy-wait."""
-    from repro.devices.nic import SimulatedNic
-    from repro.kernel.net_driver import NetDriver
-
-    machine = build_machine(MLX_SETUP, Mode.NONE)
-    nic = SimulatedNic(machine.bus, NIC_BDF, MLX_SETUP.nic_profile)
-    driver = NetDriver(machine, nic, coalesce_threshold=MLX_SETUP.stream_burst)
-    driver.fill_rx()
-    payload = b"\x42" * 1500
-
-    def send(count: int) -> None:
-        sent = 0
-        while sent < count:
-            if driver.transmit(payload):
-                driver.account.charge(
-                    Component.PROCESSING, MLX_SETUP.c_none_stream + busy_cycles
-                )
-                sent += 1
-                if sent % 64 == 0:
-                    driver.pump_tx()
-            else:
-                driver.pump_tx()
-        driver.pump_tx()
-        driver.flush_tx()
-
-    send(warmup)
-    driver.account.reset()
-    base = driver.stats.packets_transmitted
-    send(packets)
-    measured = driver.stats.packets_transmitted - base
-    cycles = driver.account.total() / measured
-    perf = throughput_with_line_rate(
-        cycles, MLX_SETUP.clock_hz, MLX_SETUP.nic_profile.line_rate_gbps
-    )
-    return cycles, perf.gbps
+    """Measure the none-mode stream with an extra per-packet busy-wait."""
+    busy_setup = replace(MLX_SETUP, c_none_stream=MLX_SETUP.c_none_stream + busy_cycles)
+    stream = NetperfStream(packets=packets, warmup=warmup)
+    result = run_events(stream, busy_setup, Mode.NONE)
+    return result.cycles_per_packet, result.gbps
 
 
 def run_figure8(
@@ -137,7 +107,7 @@ def run_figure8(
     workload = NetperfStream(packets=packets, warmup=warmup)
     mode_points: Dict[Mode, Tuple[float, float]] = {}
     for mode in ALL_MODES:
-        result = workload.run(MLX_SETUP, mode)
+        result = run_events(workload, MLX_SETUP, mode)
         mode_points[mode] = (result.cycles_per_packet, result.gbps or 0.0)
 
     return Figure8Result(

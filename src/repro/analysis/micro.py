@@ -25,6 +25,7 @@ from repro.modes import ALL_MODES, Mode
 from repro.perf.costs import CostPolicy
 from repro.sim.netperf import NetperfStream
 from repro.sim.results import RunResult
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 
 #: the throughput ordering the paper's Figure 12 (mlx stream) shows
@@ -86,12 +87,16 @@ def run_micro_validation(packets: int = 300, warmup: int = 60) -> MicroValidatio
     calibrated: Dict[Mode, RunResult] = {}
     micro: Dict[Mode, RunResult] = {}
     for mode in ALL_MODES:
-        calibrated[mode] = NetperfStream(packets=packets, warmup=warmup).run(
-            MLX_SETUP, mode
+        calibrated[mode] = run_events(
+            NetperfStream(packets=packets, warmup=warmup), MLX_SETUP, mode
         )
-        micro[mode] = NetperfStream(
-            packets=packets,
-            warmup=warmup,
-            machine_kwargs={"cost_policy": CostPolicy.MICRO},
-        ).run(MLX_SETUP, mode)
+        micro[mode] = run_events(
+            NetperfStream(
+                packets=packets,
+                warmup=warmup,
+                machine_kwargs={"cost_policy": CostPolicy.MICRO},
+            ),
+            MLX_SETUP,
+            mode,
+        )
     return MicroValidationResult(calibrated=calibrated, micro=micro)

@@ -20,6 +20,7 @@ from repro.perf.costs import TABLE1_CYCLES
 from repro.perf.cycles import Component, MAP_COMPONENTS, UNMAP_COMPONENTS
 from repro.sim.netperf import NetperfStream
 from repro.sim.results import RunResult
+from repro.sim.scheduler import run_events
 from repro.sim.setups import MLX_SETUP
 from repro.analysis.report import format_table
 
@@ -74,7 +75,7 @@ def run_table1(packets: int = 600, warmup: int = 150) -> Table1Result:
     workload = NetperfStream(packets=packets, warmup=warmup)
     averages: Dict[Mode, Dict[Component, float]] = {}
     for mode in BASELINE_MODES:
-        result: RunResult = workload.run(MLX_SETUP, mode)
+        result: RunResult = run_events(workload, MLX_SETUP, mode)
         # Per-*invocation* averages need the event counts; re-derive from
         # the run's breakdown and counted events per packet: each packet
         # on mlx is 2 maps + 2 unmaps, so invocations = 2 * packets.

@@ -12,6 +12,7 @@ from repro.analysis.report import format_table
 from repro.modes import ALL_MODES, Mode
 from repro.perf.calibration import TABLE3_RTT_US
 from repro.sim.netperf import NetperfRR
+from repro.sim.scheduler import run_events
 from repro.sim.setups import ALL_SETUPS
 
 
@@ -47,7 +48,7 @@ def run_table3(transactions: int = 200, warmup: int = 40) -> Table3Result:
     for setup in ALL_SETUPS:
         rtts[setup.name] = {}
         for mode in ALL_MODES:
-            result = workload.run(setup, mode)
+            result = run_events(workload, setup, mode)
             assert result.rtt_us is not None
             rtts[setup.name][mode] = result.rtt_us
     return Table3Result(rtt_us=rtts)

@@ -151,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mode-specialized hot loop; all three are bit-identical",
     )
     parser.add_argument(
-        "--engine",
-        choices=("loop", "events"),
-        default=None,
-        help="simulation engine (default: $REPRO_ENGINE, else events) — "
-        "events is the cycle-stamped event-scheduled kernel, loop the "
-        "legacy fixed call-order reference; both are bit-identical",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -309,13 +301,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         datapath.set_datapath(args.datapath)
 
-    if args.engine is not None or args.shards is not None:
+    if args.shards is not None:
         from repro.sim import scheduler
 
-        if args.engine is not None:
-            scheduler.set_engine(args.engine)
-        if args.shards is not None:
-            scheduler.set_shards(args.shards)
+        scheduler.set_shards(args.shards)
 
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)

@@ -12,7 +12,6 @@ baseline driver, so Figure 7's stacked bars compare like with like.
 
 from __future__ import annotations
 
-import warnings
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -146,19 +145,6 @@ class RIommuDriver:
 
     # -- map (Figure 11, left) -------------------------------------------------
 
-    def map(
-        self, rid: int, phys_addr: int, size: int, direction: DmaDirection
-    ) -> RIova:
-        """Deprecated positional form of :meth:`map_request`."""
-        warnings.warn(
-            "RIommuDriver.map(rid, phys, size, dir) is deprecated; use "
-            "map_request(MapRequest(phys_addr=..., size=..., direction=..., "
-            "ring=rid))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._map(rid, phys_addr, size, direction)
-
     def map_request(self, req: MapRequest) -> MapResult:
         """Map ``[phys_addr, phys_addr + size)`` into ring ``req.ring``.
 
@@ -279,16 +265,6 @@ class RIommuDriver:
         return iova
 
     # -- unmap (Figure 11, right) --------------------------------------------------
-
-    def unmap(self, iova: RIova, end_of_burst: bool = False) -> int:
-        """Deprecated positional form of :meth:`unmap_request`."""
-        warnings.warn(
-            "RIommuDriver.unmap(iova, end_of_burst) is deprecated; use "
-            "unmap_request(UnmapRequest(device_addr=iova.packed()))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._unmap(iova, end_of_burst)
 
     def unmap_request(self, req: UnmapRequest) -> UnmapResult:
         """Invalidate the rPTE behind the packed rIOVA ``req.device_addr``.

@@ -20,11 +20,6 @@ Selection is one documented knob::
 
     REPRO_DATAPATH={scalar,batched,columnar}
 
-The legacy switches ``REPRO_DISABLE_FASTPATH`` (kills the fast paths)
-and ``REPRO_DISABLE_BATCH`` (kills staged charging and bulk SG) still
-work but are deprecated; either one also disables the columnar build,
-since columnar layers on both.
-
 This module is the single source of truth for the three feature flags.
 Consumer modules (``repro.devices.dma``, ``repro.memory.physical``,
 ``repro.perf.cycles``) copy ``FASTPATH_ENABLED``/``BATCH_ENABLED`` into
@@ -48,12 +43,10 @@ import os
 from repro.config import (
     BUILDS,
     DEFAULT_BUILD,
-    LEGACY_BATCH_ENV as _LEGACY_BATCH,
-    LEGACY_FASTPATH_ENV as _LEGACY_FASTPATH,
     DATAPATH_ENV as ENV_VAR,
     datapath_build_name,
+    datapath_from_env,
     resolve_datapath_flags as _resolve,
-    warn_legacy_datapath_env,
 )
 
 __all__ = [
@@ -68,15 +61,6 @@ __all__ = [
 ]
 
 
-def _resolve_from_env():
-    warn_legacy_datapath_env(os.environ)
-    return _resolve(
-        os.environ.get(ENV_VAR, DEFAULT_BUILD),
-        _LEGACY_FASTPATH in os.environ,
-        _LEGACY_BATCH in os.environ,
-    )
-
-
 #: Single-page / single-frame fast paths and per-burst memos.
 FASTPATH_ENABLED: bool
 #: Staged (counter-based) cycle charging and bulk SG datapaths.
@@ -84,7 +68,7 @@ BATCH_ENABLED: bool
 #: Struct-of-arrays burst loops with precomputed cost vectors.
 COLUMNAR_ENABLED: bool
 
-FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED = _resolve_from_env()
+FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED = _resolve(datapath_from_env())
 
 
 def current_build() -> str:
@@ -97,19 +81,15 @@ def set_datapath(build: str) -> None:
 
     Updates this module's flags *and* the copies consumer modules hold
     in their own globals (the names parity tests poke), so a switch is
-    complete no matter which spelling a caller reads.  Ignores the
-    legacy environment vetoes: an explicit runtime selection wins.
+    complete no matter which spelling a caller reads.
     """
     global FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED
-    fast, batch, columnar = _resolve(build, False, False)
+    fast, batch, columnar = _resolve(build)
     FASTPATH_ENABLED, BATCH_ENABLED, COLUMNAR_ENABLED = fast, batch, columnar
 
     # Export the selection so spawned worker processes (the parallel
-    # grid runner) resolve the same build; the legacy vetoes are cleared
-    # because the explicit selection wins.
+    # grid runner) resolve the same build.
     os.environ[ENV_VAR] = build
-    os.environ.pop(_LEGACY_FASTPATH, None)
-    os.environ.pop(_LEGACY_BATCH, None)
 
     import repro.devices.dma as _dma
     import repro.memory.physical as _physical

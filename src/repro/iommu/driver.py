@@ -14,7 +14,6 @@ under the matching Table 1 component.
 
 from __future__ import annotations
 
-import warnings
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -165,18 +164,6 @@ class BaselineIommuDriver:
 
     # -- map (Figure 4) ---------------------------------------------------
 
-    def map(self, phys_addr: int, size: int, direction: DmaDirection) -> int:
-        """Deprecated positional form of :meth:`map_request`."""
-        warnings.warn(
-            "BaselineIommuDriver.map(phys, size, dir) is deprecated; use "
-            "map_request(MapRequest(phys_addr=..., size=..., direction=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.map_request(
-            MapRequest(phys_addr=phys_addr, size=size, direction=direction)
-        ).device_addr
-
     def map_request(self, req: MapRequest) -> MapResult:
         """Map ``[phys_addr, phys_addr + size)``; the result carries its IOVA.
 
@@ -292,18 +279,6 @@ class BaselineIommuDriver:
         return _map_result((pfn_lo << PAGE_SHIFT) | (phys_addr & PAGE_MASK))
 
     # -- unmap (Figure 6) ---------------------------------------------------
-
-    def unmap(self, iova: int, end_of_burst: bool = False) -> int:
-        """Deprecated positional form of :meth:`unmap_request`."""
-        warnings.warn(
-            "BaselineIommuDriver.unmap(iova, end_of_burst) is deprecated; use "
-            "unmap_request(UnmapRequest(device_addr=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.unmap_request(
-            UnmapRequest(device_addr=iova, end_of_burst=end_of_burst)
-        ).phys_addr
 
     def unmap_request(self, req: UnmapRequest) -> UnmapResult:
         """Tear down the mapping at ``req.device_addr``.

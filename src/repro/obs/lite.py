@@ -4,9 +4,8 @@ The full observability stack (PRs 3-5) rides the per-event trace bus,
 so switching it on forfeits the columnar fast builds and forces
 sharded/grid runs serial.  This module is the counters-first tier that
 composes with all of them: ``observe="lite"`` keeps
-``datapath=columnar``, ``engine=events`` and ``--shards``/``--jobs``
-active, and costs a bounded per-*burst* hook instead of a per-*event*
-bus.
+``datapath=columnar`` and ``--shards``/``--jobs`` active, and costs a
+bounded per-*burst* hook instead of a per-*event* bus.
 
 Three pieces, all reachable through the :data:`LITE` singleton:
 

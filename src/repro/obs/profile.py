@@ -52,7 +52,7 @@ class RunObserver:
     Subscribe/unsubscribe via the context-manager protocol::
 
         with RunObserver() as obs:
-            result = bench.run(setup, mode)
+            result = run_events(bench, setup, mode)
         result.obs = obs.summary(result)
 
     The per-packet cycle histogram holds the deltas between successive

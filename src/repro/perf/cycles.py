@@ -13,9 +13,9 @@ observable state is (total cycles, event count), so ``k`` identical
 charges may be *staged* as a counter and folded in one step — provided
 the fold reproduces the exact float sum the charge-by-charge loop would
 have produced.  :meth:`CycleAccount.stage` and
-:meth:`CycleAccount.charge_many` implement that; ``REPRO_DISABLE_BATCH``
-forces every staged charge through the scalar path for differential
-testing.
+:meth:`CycleAccount.charge_many` implement that; the ``scalar`` datapath
+build (``REPRO_DATAPATH=scalar``) forces every staged charge through the
+scalar path for differential testing.
 """
 
 from __future__ import annotations

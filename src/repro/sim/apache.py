@@ -26,7 +26,7 @@ from repro.perf.cycles import Component
 from repro.perf.model import requests_per_second
 from repro.sim.netperf import NIC_BDF, build_machine
 from repro.sim.results import RunResult
-from repro.sim.scheduler import WorkloadActor
+from repro.sim.scheduler import PhasedActor
 from repro.sim.setups import Setup
 
 #: TCP MSS carried per full-size response frame
@@ -75,16 +75,6 @@ class ApacheBench:
         driver.fill_rx()
         return machine, driver
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Serve ``requests`` requests; returns requests/s and CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._serve(driver, self.warmup, setup)
-        driver.account.reset()
-        self._serve(driver, self.requests, setup)
-
-        return self._result(machine, driver, setup, mode)
-
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
     ) -> RunResult:
@@ -114,13 +104,6 @@ class ApacheBench:
             metrics=collect_machine_metrics(machine),
         )
 
-    def _serve(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        for _ in range(count):
-            self._serve_one(driver, setup)
-        driver.pump_tx()
-        driver.flush_tx()
-        driver.flush_rx()
-
     def _serve_one(self, driver: NetDriver, setup: Setup) -> None:
         """Serve one complete non-keep-alive request."""
         # Inbound: SYN, request, FIN.
@@ -145,7 +128,7 @@ class ApacheBench:
 
     def build_actors(self, setup: Setup, mode: Mode) -> List["ApacheActor"]:
         """The event-kernel form of this workload: one server actor."""
-        return [ApacheActor(self, setup, mode)]
+        return [ApacheActor(self, setup, mode, self.requests)]
 
     def finalize_events(
         self, actors: List["ApacheActor"], setup: Setup, mode: Mode
@@ -155,7 +138,7 @@ class ApacheBench:
         return self._result(actor.machine, actor.driver, setup, mode)
 
 
-class ApacheActor(WorkloadActor):
+class ApacheActor(PhasedActor):
     """:class:`ApacheBench` as an event-kernel actor.
 
     One burst = one served request — connection setup, the whole file
@@ -163,16 +146,6 @@ class ApacheActor(WorkloadActor):
     Every request ends at a pump boundary, the workload's natural
     synchronization point.
     """
-
-    _WARMUP, _MEASURE, _DONE = range(3)
-
-    def __init__(self, workload: ApacheBench, setup: Setup, mode: Mode) -> None:
-        self.workload = workload
-        self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
-        super().__init__(self.driver.account)
-        self.phase = self._WARMUP
-        self.i = 0
 
     def _burst(self, count: int) -> bool:
         """Serve one request; True once the phase (incl. tail) completes."""
@@ -186,17 +159,3 @@ class ApacheActor(WorkloadActor):
         driver.flush_tx()
         driver.flush_rx()
         return True
-
-    def step(self) -> bool:
-        if self.phase == self._WARMUP:
-            if self._burst(self.workload.warmup):
-                self.driver.account.reset()
-                self.i = 0
-                self.phase = self._MEASURE
-            return True
-        if self.phase == self._MEASURE:
-            if self._burst(self.workload.requests):
-                self.phase = self._DONE
-                return False
-            return True
-        return False

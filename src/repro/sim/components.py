@@ -321,13 +321,9 @@ def run_arm(payload: Dict[str, object]) -> Dict[str, object]:
     previous_build = datapath.current_build()
     datapath.set_datapath(spec.datapath)
     try:
-        lite_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, engine="events", observe="lite"
-        )
+        lite_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="lite")
         lite = run_prepared(_instantiate(spec, mode), setup, mode, lite_config)
-        full_config = RunConfig(
-            fast=spec.fast, datapath=spec.datapath, engine="events", observe="full"
-        )
+        full_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="full")
         full = run_prepared(_instantiate(spec, mode), setup, mode, full_config)
     finally:
         datapath.set_datapath(previous_build)

@@ -23,7 +23,7 @@ from repro.perf.cycles import Component
 from repro.perf.model import requests_per_second
 from repro.sim.netperf import NIC_BDF, build_machine
 from repro.sim.results import RunResult
-from repro.sim.scheduler import WorkloadActor
+from repro.sim.scheduler import PhasedActor
 from repro.sim.setups import Setup
 
 KEY_BYTES = 64
@@ -49,16 +49,6 @@ class MemcachedBench:
         driver = NetDriver(machine, nic, coalesce_threshold=setup.stream_burst)
         driver.fill_rx()
         return machine, driver
-
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Serve the request mix; returns requests/s and CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._serve(driver, self.warmup, setup)
-        driver.account.reset()
-        self._serve(driver, self.requests, setup)
-
-        return self._result(machine, driver, setup, mode)
 
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
@@ -89,14 +79,6 @@ class MemcachedBench:
             metrics=collect_machine_metrics(machine),
         )
 
-    def _serve(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        gets = int(count * GET_FRACTION)
-        for i in range(count):
-            self._serve_one(driver, i, gets, count, setup)
-        driver.pump_tx()
-        driver.flush_tx()
-        driver.flush_rx()
-
     def _serve_one(
         self, driver: NetDriver, i: int, gets: int, count: int, setup: Setup
     ) -> None:
@@ -115,7 +97,7 @@ class MemcachedBench:
 
     def build_actors(self, setup: Setup, mode: Mode) -> List["MemcachedActor"]:
         """The event-kernel form of this workload: one server actor."""
-        return [MemcachedActor(self, setup, mode)]
+        return [MemcachedActor(self, setup, mode, self.requests)]
 
     def finalize_events(
         self, actors: List["MemcachedActor"], setup: Setup, mode: Mode
@@ -125,23 +107,13 @@ class MemcachedBench:
         return self._result(actor.machine, actor.driver, setup, mode)
 
 
-class MemcachedActor(WorkloadActor):
+class MemcachedActor(PhasedActor):
     """:class:`MemcachedBench` as an event-kernel actor.
 
     One burst = one served request (query in, response out, application
     work) — already a full map/unmap round trip, so finer slicing would
     add scheduling overhead without exposing more concurrency.
     """
-
-    _WARMUP, _MEASURE, _DONE = range(3)
-
-    def __init__(self, workload: MemcachedBench, setup: Setup, mode: Mode) -> None:
-        self.workload = workload
-        self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
-        super().__init__(self.driver.account)
-        self.phase = self._WARMUP
-        self.i = 0
 
     def _burst(self, count: int) -> bool:
         """Serve one request; True once the phase (incl. tail) completes."""
@@ -155,17 +127,3 @@ class MemcachedActor(WorkloadActor):
         driver.flush_tx()
         driver.flush_rx()
         return True
-
-    def step(self) -> bool:
-        if self.phase == self._WARMUP:
-            if self._burst(self.workload.warmup):
-                self.driver.account.reset()
-                self.i = 0
-                self.phase = self._MEASURE
-            return True
-        if self.phase == self._MEASURE:
-            if self._burst(self.workload.requests):
-                self.phase = self._DONE
-                return False
-            return True
-        return False

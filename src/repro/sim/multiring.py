@@ -32,6 +32,7 @@ from repro.perf.cycles import Component
 from repro.perf.model import throughput_with_line_rate
 from repro.sim.netperf import NetperfStream, StreamActor
 from repro.sim.results import RunResult
+from repro.sim.scheduler import drive
 from repro.sim.setups import Setup
 
 
@@ -64,7 +65,7 @@ class MultiRingStream:
         """One stream actor per domain, tagged with its domain index."""
         actors = []
         for domain in range(self.domains):
-            actor = StreamActor(self._domain_stream(), setup, mode)
+            actor = StreamActor(self._domain_stream(), setup, mode, self.packets)
             actor.domain = domain
             actors.append(actor)
         return actors
@@ -89,25 +90,11 @@ class MultiRingStream:
         event heap — domains are independent, so the interleaving (or
         its absence) cannot change any modelled number.
         """
-        from repro.obs.lite import LITE
-
         payloads = []
         for domain in domain_ids:
-            actor = StreamActor(self._domain_stream(), setup, mode)
+            actor = StreamActor(self._domain_stream(), setup, mode, self.packets)
             actor.domain = domain
-            if LITE.active:
-                # Prime the monotonic clock like EventSim's heap seeding
-                # does, so burst records carry identical clock readings
-                # on the serial and sharded paths.
-                actor.clock()
-                alive = True
-                while alive:
-                    alive = actor.step()
-                    LITE.on_burst(actor, alive)
-            else:
-                while actor.step():
-                    pass
-            payloads.append(_actor_payload(actor))
+            payloads.append(_actor_payload(drive(actor)))
         return payloads
 
     def finalize_domains(
@@ -163,14 +150,6 @@ class MultiRingStream:
             # process-local, and a sharded run's workers would number
             # them differently than the serial reference.
             metrics=None,
-        )
-
-    # -- legacy loop engine ---------------------------------------------
-
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Fixed call-order reference: domains run one after another."""
-        return self.finalize_domains(
-            self.run_domains(setup, mode, range(self.domains)), setup, mode
         )
 
 

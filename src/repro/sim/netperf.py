@@ -23,7 +23,7 @@ from repro.perf.model import (
     throughput_with_line_rate,
 )
 from repro.sim.results import RunResult
-from repro.sim.scheduler import WorkloadActor
+from repro.sim.scheduler import PhasedActor
 from repro.sim.setups import Setup
 
 #: default BDF of the simulated NIC
@@ -94,35 +94,9 @@ class NetperfStream:
             metrics=collect_machine_metrics(machine),
         )
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Run the workload; returns the Figure-12-style result."""
-        machine, driver = self._build(setup, mode)
-
-        self._transmit_loop(driver, self.warmup, setup)
-        driver.account.reset()
-        base_tx = driver.stats.packets_transmitted
-        self._transmit_loop(driver, self.packets, setup)
-        measured = driver.stats.packets_transmitted - base_tx
-
-        return self._result(machine, driver, setup, mode, measured)
-
-    def _transmit_loop(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        payload = b"\xab" * ETHERNET_MTU_BYTES
-        sent = 0
-        while sent < count:
-            if driver.transmit(payload):
-                driver.account.stage(Component.PROCESSING, setup.c_none_stream)
-                sent += 1
-                if sent % self.pump_interval == 0:
-                    driver.pump_tx()
-            else:
-                driver.pump_tx()
-        driver.pump_tx()
-        driver.flush_tx()
-
     def build_actors(self, setup: Setup, mode: Mode) -> List["StreamActor"]:
         """The event-kernel form of this workload: one stream actor."""
-        return [StreamActor(self, setup, mode)]
+        return [StreamActor(self, setup, mode, self.packets)]
 
     def finalize_events(
         self, actors: List["StreamActor"], setup: Setup, mode: Mode
@@ -132,68 +106,37 @@ class NetperfStream:
         return self._result(actor.machine, actor.driver, setup, mode, actor.measured)
 
 
-class StreamActor(WorkloadActor):
+class StreamActor(PhasedActor):
     """:class:`NetperfStream` as an event-kernel actor.
 
     One burst = one pump interval of transmits (the driver's natural
     synchronization point: Tx completions coalesce and unmap there).
-    The state machine replays the legacy ``run()`` sequence exactly —
-    warmup loop, account reset, measured loop — one burst per
-    :meth:`step`, so the event kernel's call stream is bit-identical to
-    the loop engine's.
     """
 
-    _WARMUP, _MEASURE, _DONE = range(3)
-
-    def __init__(self, workload: NetperfStream, setup: Setup, mode: Mode) -> None:
-        self.workload = workload
-        self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
-        super().__init__(self.driver.account)
-        self.phase = self._WARMUP
-        self.sent = 0
-        self.base_tx = 0
-        self.measured = 0
+    progress_in_packets = True
 
     def _burst(self, count: int) -> bool:
-        """Advance the transmit loop to the next pump boundary.
+        """Transmit up to the next pump boundary.
 
-        Returns True when the loop (including its trailing pump+flush)
-        has completed — the same call sequence as ``_transmit_loop``,
-        split at the ``pump_interval`` boundaries.
+        Returns True when the phase (including its trailing pump+flush)
+        has completed.
         """
         driver, setup = self.driver, self.setup
         interval = self.workload.pump_interval
         payload = b"\xab" * ETHERNET_MTU_BYTES
-        while self.sent < count:
+        while self.i < count:
             if driver.transmit(payload):
                 driver.account.stage(Component.PROCESSING, setup.c_none_stream)
-                self.sent += 1
-                if self.sent % interval == 0:
+                self.i += 1
+                if self.i % interval == 0:
                     driver.pump_tx()
-                    if self.sent < count:
+                    if self.i < count:
                         return False
             else:
                 driver.pump_tx()
         driver.pump_tx()
         driver.flush_tx()
         return True
-
-    def step(self) -> bool:
-        if self.phase == self._WARMUP:
-            if self._burst(self.workload.warmup):
-                self.driver.account.reset()
-                self.base_tx = self.driver.stats.packets_transmitted
-                self.sent = 0
-                self.phase = self._MEASURE
-            return True
-        if self.phase == self._MEASURE:
-            if self._burst(self.workload.packets):
-                self.measured = self.driver.stats.packets_transmitted - self.base_tx
-                self.phase = self._DONE
-                return False
-            return True
-        return False
 
 
 @dataclass
@@ -231,16 +174,6 @@ class NetperfRR:
         driver.fill_rx()
         return machine, driver
 
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Run the workload; returns RTT/transaction-rate/CPU."""
-        machine, driver = self._build(setup, mode)
-
-        self._exchange_loop(driver, self.warmup, setup)
-        driver.account.reset()
-        self._exchange_loop(driver, self.transactions, setup)
-
-        return self._result(machine, driver, setup, mode)
-
     def _result(
         self, machine: Machine, driver: NetDriver, setup: Setup, mode: Mode
     ) -> RunResult:
@@ -268,8 +201,32 @@ class NetperfRR:
             metrics=collect_machine_metrics(machine),
         )
 
-    def _exchange_loop(self, driver: NetDriver, count: int, setup: Setup) -> None:
-        for i in range(count):
+    def build_actors(self, setup: Setup, mode: Mode) -> List["RRActor"]:
+        """The event-kernel form of this workload: one RR actor."""
+        return [RRActor(self, setup, mode, self.transactions)]
+
+    def finalize_events(
+        self, actors: List["RRActor"], setup: Setup, mode: Mode
+    ) -> RunResult:
+        """Build the result from completed actors (event-kernel path)."""
+        actor = actors[0]
+        return self._result(actor.machine, actor.driver, setup, mode)
+
+
+class RRActor(PhasedActor):
+    """:class:`NetperfRR` as an event-kernel actor.
+
+    One burst = one interrupt-moderation window (``burst`` ping-pong
+    transactions): completions flush, Tx/Rx buffers unmap, and — under
+    rIOMMU — the per-burst invalidation fires exactly there, so burst
+    boundaries are the workload's synchronization events.
+    """
+
+    def _burst(self, count: int) -> bool:
+        """Exchange up to the next moderation boundary."""
+        driver, setup = self.driver, self.setup
+        moderation = self.workload.burst
+        while self.i < count:
             # Send the 1-byte request ...
             while not driver.transmit(b"\x01"):
                 driver.pump_tx()
@@ -282,60 +239,8 @@ class NetperfRR:
             driver.account.stage(
                 Component.PROCESSING, setup.rr_stack_cycles_per_packet
             )
-            # Interrupt moderation delivers completions every few messages.
-            if (i + 1) % self.burst == 0:
-                driver.flush_tx()
-                driver.flush_rx()
-        driver.flush_tx()
-        driver.flush_rx()
-
-    def build_actors(self, setup: Setup, mode: Mode) -> List["RRActor"]:
-        """The event-kernel form of this workload: one RR actor."""
-        return [RRActor(self, setup, mode)]
-
-    def finalize_events(
-        self, actors: List["RRActor"], setup: Setup, mode: Mode
-    ) -> RunResult:
-        """Build the result from completed actors (event-kernel path)."""
-        actor = actors[0]
-        return self._result(actor.machine, actor.driver, setup, mode)
-
-
-class RRActor(WorkloadActor):
-    """:class:`NetperfRR` as an event-kernel actor.
-
-    One burst = one interrupt-moderation window (``burst`` ping-pong
-    transactions): completions flush, Tx/Rx buffers unmap, and — under
-    rIOMMU — the per-burst invalidation fires exactly there, so burst
-    boundaries are the workload's synchronization events.
-    """
-
-    _WARMUP, _MEASURE, _DONE = range(3)
-
-    def __init__(self, workload: NetperfRR, setup: Setup, mode: Mode) -> None:
-        self.workload = workload
-        self.setup = setup
-        self.machine, self.driver = workload._build(setup, mode)
-        super().__init__(self.driver.account)
-        self.phase = self._WARMUP
-        self.i = 0
-
-    def _burst(self, count: int) -> bool:
-        """Advance the exchange loop to the next moderation boundary."""
-        driver, setup = self.driver, self.setup
-        moderation = self.workload.burst
-        while self.i < count:
-            while not driver.transmit(b"\x01"):
-                driver.pump_tx()
-            driver.pump_tx()
-            driver.account.stage(
-                Component.PROCESSING, setup.rr_stack_cycles_per_packet
-            )
-            driver.nic.deliver_frame(b"\x02")
-            driver.account.stage(
-                Component.PROCESSING, setup.rr_stack_cycles_per_packet
-            )
             self.i += 1
+            # Interrupt moderation delivers completions every few messages.
             if self.i % moderation == 0:
                 driver.flush_tx()
                 driver.flush_rx()
@@ -344,17 +249,3 @@ class RRActor(WorkloadActor):
         driver.flush_tx()
         driver.flush_rx()
         return True
-
-    def step(self) -> bool:
-        if self.phase == self._WARMUP:
-            if self._burst(self.workload.warmup):
-                self.driver.account.reset()
-                self.i = 0
-                self.phase = self._MEASURE
-            return True
-        if self.phase == self._MEASURE:
-            if self._burst(self.workload.transactions):
-                self.phase = self._DONE
-                return False
-            return True
-        return False

@@ -52,7 +52,7 @@ def worker_env_probe(names: Tuple[str, ...]) -> Dict[str, Optional[str]]:
 
     A module-level function so it pickles to pool workers; the env
     propagation tests map it across a real pool to pin that the knob
-    exports (``set_datapath``/``set_engine``/``REPRO_OBSERVE``) actually
+    exports (``set_datapath``/``set_shards``/``REPRO_OBSERVE``) actually
     reach ``run_grid``'s worker processes, not just the parent.  Also
     carries the worker's PID so a test can tell whether a pool was
     really used or the serial fallback ran.

@@ -7,10 +7,10 @@ the whole evaluation grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, Optional, Union
 
-from repro.config import UNSET, RunConfig, resolve_run_config
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import RunObserver
 from repro.obs.tracer import TRACE
@@ -29,25 +29,39 @@ BENCHMARK_NAMES = tuple(
 )
 
 
+#: An observation request: a level name, or a bool (True = "full").
+Observe = Union[str, bool, None]
+
+
+def _resolve_config(config: Optional[RunConfig], observe: Observe = None) -> RunConfig:
+    """The config a runner entry point runs under.
+
+    ``config=None`` resolves the environment (``RunConfig.from_env()``),
+    which is what grid worker processes see after the parent exports
+    its config; ``observe``, when given, overrides the config's level.
+    """
+    if config is None:
+        config = RunConfig.from_env()
+    if observe is None:
+        return config
+    return replace(config, observe=observe)
+
+
 def run_benchmark(
     setup: Setup,
     mode: Mode,
     benchmark: str,
-    fast=UNSET,
-    observe=UNSET,
-    engine=UNSET,
-    shards=UNSET,
     *,
+    observe: Observe = None,
     config: Optional[RunConfig] = None,
 ) -> RunResult:
     """Run one benchmark under one mode on one setup.
 
     All run-shaping knobs travel in ``config`` — one frozen
-    :class:`~repro.config.RunConfig` record (datapath build, engine,
-    shard count, observation, timeline window, tenancy scenario).
-    ``config=None`` resolves the environment (``RunConfig.from_env()``),
-    which is what grid worker processes see after the parent exports
-    its config.
+    :class:`~repro.config.RunConfig` record (benchmark sizing, datapath
+    build, shard count, observation, timeline window, tenancy
+    scenario); see :func:`_resolve_config` for ``config=None`` and the
+    ``observe`` override.
 
     ``config.observe="full"`` attaches a
     :class:`~repro.obs.profile.RunObserver` for the duration of the run
@@ -57,19 +71,10 @@ def run_benchmark(
     storing its summary on ``result.telemetry`` while keeping the
     columnar datapath and sharded execution active.  Observation is
     strictly observational: every modelled number is bit-identical
-    with it on or off.  Engine and
-    shard choice are equally bit-invisible (see
-    :mod:`repro.sim.scheduler`; the parity tests pin this).
-
-    The legacy ``fast=``/``engine=``/``shards=`` kwargs still work but
-    are deprecated (one :class:`DeprecationWarning` via
-    :func:`repro.config.resolve_run_config`); ``observe=`` merges
-    silently, with ``None`` deferring to the config.
+    with it on or off.  Shard count is equally bit-invisible (see
+    :mod:`repro.sim.scheduler`; the golden tests pin this).
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, engine=engine, shards=shards
-    )
-    return run_with_config(setup, mode, benchmark, config)
+    return run_with_config(setup, mode, benchmark, _resolve_config(config, observe))
 
 
 def run_with_config(
@@ -77,9 +82,9 @@ def run_with_config(
 ) -> RunResult:
     """Run one cell from an already-resolved :class:`RunConfig`.
 
-    The shim-free core of :func:`run_benchmark` — internal callers that
-    already hold a config (the grid worker, the sweep, the harness) go
-    straight here.
+    The core of :func:`run_benchmark` — internal callers that already
+    hold a config (the grid worker, the sweep, the harness) go straight
+    here.
     """
     bench = make_benchmark(benchmark, config.fast, tenancy=config.tenancy)
     return run_prepared(bench, setup, mode, config)
@@ -95,7 +100,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
     every tier — off, lite, full — behaves exactly as in a plain run.
     """
     if config.observe == "off":
-        return _execute(bench, setup, mode, config)
+        return run_events(bench, setup, mode, config.shards)
     if config.observe == "lite":
         # The counters-first tier: no trace bus, so the columnar
         # datapath, intra-run sharding and grid parallelism all stay
@@ -104,7 +109,7 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
 
         LITE.start(clock_hz=setup.clock_hz)
         try:
-            result = _execute(bench, setup, mode, config)
+            result = run_events(bench, setup, mode, config.shards)
             result.telemetry = LITE.summary(result)
         finally:
             LITE.stop()
@@ -112,42 +117,30 @@ def run_prepared(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResul
     with RunObserver(
         clock_hz=setup.clock_hz, timeline_window=config.timeline_window
     ) as observer:
-        result = _execute(bench, setup, mode, config)
+        result = run_events(bench, setup, mode, config.shards)
     result.obs = observer.summary(result)
     return result
-
-
-def _execute(bench, setup: Setup, mode: Mode, config: RunConfig) -> RunResult:
-    """Dispatch one instantiated workload to the selected engine."""
-    if config.engine == "loop":
-        return bench.run(setup, mode)
-    return run_events(bench, setup, mode, config.shards)
 
 
 def run_mode_sweep(
     setup: Setup,
     benchmark: str,
     modes: Iterable[Mode] = ALL_MODES,
-    fast=UNSET,
-    observe=UNSET,
     *,
+    observe: Observe = None,
     config: Optional[RunConfig] = None,
 ) -> Dict[Mode, RunResult]:
     """One benchmark across the given modes (one Figure 12 panel).
 
     Each mode gets a freshly-instantiated workload.  Workloads are
-    parameter holders whose ``run()`` builds a new machine every call
-    (two consecutive ``run()`` calls on one instance give identical
-    results — tested), but per-mode instantiation makes each cell
-    structurally identical to the parallel runner's, and keeps any
-    future stateful workload from bleeding counters between modes.
+    parameter holders whose actors build a new machine every run, but
+    per-mode instantiation makes each cell structurally identical to
+    the parallel runner's, and keeps any future stateful workload from
+    bleeding counters between modes.
 
-    Knobs ride in ``config`` (see :func:`run_benchmark`); the legacy
-    ``fast=``/``observe=`` kwargs go through the same deprecation shim.
+    Knobs ride in ``config`` (see :func:`run_benchmark`).
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, caller="run_mode_sweep"
-    )
+    config = _resolve_config(config, observe)
     return {
         mode: run_with_config(setup, mode, benchmark, config) for mode in modes
     }
@@ -207,10 +200,9 @@ def run_figure12(
     setups: Iterable[Setup] = ALL_SETUPS,
     benchmarks: Iterable[str] = BENCHMARK_NAMES,
     modes: Iterable[Mode] = ALL_MODES,
-    fast=UNSET,
-    jobs: Optional[int] = None,
-    observe=UNSET,
     *,
+    jobs: Optional[int] = None,
+    observe: Observe = None,
     config: Optional[RunConfig] = None,
 ) -> EvaluationGrid:
     """Run the complete evaluation grid of the paper's Figure 12.
@@ -224,16 +216,14 @@ def run_figure12(
     the config is exported to the environment
     (:meth:`RunConfig.exported`), so worker processes reconstruct it
     bit-identically via ``RunConfig.from_env()`` — observation,
-    engine, shards and the datapath build all reach every cell.
+    shards and the datapath build all reach every cell.
 
     When the process-local tracer is recording the grid runs serially
     regardless of ``jobs``: events emitted inside worker processes
     would never reach this process's trace buffer.  Results are
     identical either way (the parity tests pin this).
     """
-    config = resolve_run_config(
-        config, fast=fast, observe=observe, caller="run_figure12"
-    )
+    config = _resolve_config(config, observe)
     with config.exported():
         return _run_grid(setups, benchmarks, modes, config, jobs)
 

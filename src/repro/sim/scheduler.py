@@ -1,14 +1,10 @@
 """Event-scheduled simulation kernel with intra-run domain sharding.
 
-Historically the runner advanced each workload with a fixed Python
-call-order loop: one straight-line function drove the NIC, rings and
-driver to completion.  That was fine for one ring, but the paper's
-datapath is inherently per-ring — every rIOMMU structure (rRINGs,
-rIOTLB entries, invalidation) is keyed by ring/domain — and a fixed
-loop can neither interleave independent domains in modelled-time order
-nor use more than one core for a single big run.
-
-This module replaces the loop with an explicit event-scheduled kernel:
+The paper's datapath is inherently per-ring — every rIOMMU structure
+(rRINGs, rIOTLB entries, invalidation) is keyed by ring/domain — and
+its unit of work is the completion burst: rIOMMU pays one rIOTLB
+invalidation per burst of unmaps.  This kernel is the one way every
+workload runs:
 
 * **Actors** (:class:`WorkloadActor`) own one independently-advancing
   piece of the simulation — a device/ring/driver complex — and expose
@@ -36,23 +32,19 @@ This module replaces the loop with an explicit event-scheduled kernel:
   ``REPRO_SHARDS`` > 1), composing with the ``--jobs`` grid fan-out.
   Both paths finalize through the workload's single merge function
   with payloads ordered by domain index, so the sharded result is
-  bit-identical to the serial one by construction.
+  bit-identical to the serial one by construction.  A shard worker
+  drives each of its domains with :func:`drive`.
 
-Engine selection mirrors the datapath knob::
+The shard knob::
 
-    REPRO_ENGINE={loop,events}   # default: events
     REPRO_SHARDS=N               # default: 1 (serial reference)
 
-The ``events`` engine is bit-exact with the legacy ``loop`` engine in
-every figure-12 mode (same ``to_dict``/``cycles_total``/``obs`` — the
-parity tests pin this): each actor's ``step()`` replays exactly the
-call sequence the legacy loop made between two burst boundaries, and
-single-actor workloads therefore execute the identical call stream.
-With a tracer or observer attached the kernel runs serially in-process
-regardless of ``REPRO_SHARDS`` (worker-process events would never
-reach this process's trace buffer), exactly like the parallel grid
-runner; the TimelineSampler and profiler see the same charge stream at
-the same modelled timestamps as under the loop engine.
+The figure-12 golden pins every single-domain cell and
+``tests/data/scaling_fast_golden.json`` pins the multi-domain
+workloads, serial and sharded.  With a tracer or observer attached the
+kernel runs serially in-process regardless of ``REPRO_SHARDS``
+(worker-process events would never reach this process's trace buffer),
+exactly like the parallel grid runner.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from __future__ import annotations
 import heapq
 import os
 import pickle
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.modes import Mode
 from repro.obs.lite import LITE
@@ -69,27 +61,12 @@ from repro.perf.cycles import CycleAccount, MonotonicClock
 from repro.sim.results import RunResult
 from repro.sim.setups import Setup
 
-# The engine/shard knob constants and resolvers live in repro.config
-# (the single RunConfig.from_env path); the historical names stay
-# importable from here.
-from repro.config import (  # noqa: F401  (re-exported compatibility names)
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
-    SHARDS_ENV,
-    resolve_engine,
-    resolve_shards,
-)
+# The shard knob lives in repro.config (the single RunConfig.from_env
+# path); its names stay importable from here.
+from repro.config import SHARDS_ENV, resolve_shards
 
 #: Schema identifier carried by every checkpoint file.
 CHECKPOINT_SCHEMA = "riommu-repro/checkpoint/v1"
-
-
-def set_engine(engine: str) -> str:
-    """Select the engine process-wide and export it to worker processes."""
-    engine = resolve_engine(engine)
-    os.environ[ENGINE_ENV] = engine
-    return engine
 
 
 def set_shards(shards: int) -> int:
@@ -105,10 +82,9 @@ class WorkloadActor:
     An actor owns a device/ring/driver complex and a cycle account; the
     scheduler reads its position in modelled time off :meth:`clock` and
     calls :meth:`step` to advance it by one burst.  ``step()`` returns
-    True while more bursts remain and False once the actor is finished;
-    every call must replay exactly the call sequence the legacy loop
-    would have made between the same two burst boundaries, which is
-    what makes the event kernel bit-exact with the loop engine.
+    True while more bursts remain and False once the actor is finished.
+    An actor never touches another actor's state, so the order in which
+    the kernel interleaves actors cannot change any modelled number.
 
     Actors are explicit state machines rather than generators so a
     mid-run simulation can be pickled and resumed (generators cannot).
@@ -127,6 +103,58 @@ class WorkloadActor:
     def step(self) -> bool:
         """Advance one burst; True while more work remains."""
         raise NotImplementedError
+
+
+class PhasedActor(WorkloadActor):
+    """One driver's workload: a warmup phase, then a measured phase.
+
+    The shape every single-ring workload shares.  The actor builds its
+    machine + driver complex through ``workload._build``; the warmup
+    phase is ``workload.warmup`` items long and the measured phase
+    ``length`` items (packets, transactions or requests).  Subclasses
+    implement :meth:`_burst`, which advances the phase counter ``i``
+    by one burst and returns True once a ``count``-long phase
+    (including its trailing flushes) has completed.  Between the phases
+    the driver's cycle account is reset, so only the measured phase is
+    charged; ``measured`` ends up holding the packets transmitted in it.
+    """
+
+    _WARMUP, _MEASURE, _DONE = range(3)
+
+    #: Whether a tenant wrapper counts progress in transmitted packets
+    #: (streams) rather than in completed items ``i`` (requests).
+    progress_in_packets = False
+
+    def __init__(self, workload, setup: Setup, mode: Mode, length: int) -> None:
+        self.workload = workload
+        self.setup = setup
+        self.machine, self.driver = workload._build(setup, mode)
+        super().__init__(self.driver.account)
+        self.counts = (workload.warmup, length)
+        self.phase = self._WARMUP
+        self.i = 0
+        self.base_tx = 0
+        self.measured = 0
+
+    def _burst(self, count: int) -> bool:
+        """Advance one burst of a ``count``-long phase; True when it ends."""
+        raise NotImplementedError
+
+    def step(self) -> bool:
+        if self.phase == self._WARMUP:
+            if self._burst(self.counts[0]):
+                self.driver.account.reset()
+                self.base_tx = self.driver.stats.packets_transmitted
+                self.i = 0
+                self.phase = self._MEASURE
+            return True
+        if self.phase == self._MEASURE:
+            if self._burst(self.counts[1]):
+                self.measured = self.driver.stats.packets_transmitted - self.base_tx
+                self.phase = self._DONE
+                return False
+            return True
+        return False
 
 
 class EventScheduler:
@@ -297,6 +325,28 @@ def load_checkpoint(path) -> EventSim:
 # -- sharded execution ------------------------------------------------------
 
 
+def drive(actor: WorkloadActor) -> WorkloadActor:
+    """Run one actor to completion off the event heap; returns it.
+
+    How a shard worker advances each of its domains (``run_domains``).
+    Under lite telemetry the clock is primed first, as
+    :class:`EventSim`'s heap seeding does, and every burst is reported
+    to ``LITE.on_burst``, so burst records carry identical clock
+    readings on the serial and sharded paths.
+    """
+    if LITE.active:
+        actor.clock()
+        alive = True
+        while alive:
+            alive = actor.step()
+            LITE.on_burst(actor, alive)
+    else:
+        while actor.step():
+            pass
+    return actor
+
+
+
 def shard_plan(workload, shards: int) -> Optional[List[Tuple[int, ...]]]:
     """Partition a workload's domains into ``shards`` round-robin stripes.
 
@@ -360,15 +410,13 @@ def run_events(
 ) -> RunResult:
     """Run a workload on the event kernel, sharded when it applies.
 
-    Workloads that predate the actor protocol (no ``build_actors``)
-    fall back to their legacy ``run()`` — external registrations keep
-    working unchanged.  With an applicable shard plan and no tracer
-    attached, domains fan out over a worker pool and the per-domain
-    payloads merge in domain order; otherwise a single event heap
-    interleaves every actor in modelled-time order in-process.
+    The one way to run a workload: it must provide the actor protocol
+    (``build_actors``/``finalize_events``).  With an applicable shard
+    plan and no tracer attached, domains fan out over a worker pool and
+    the per-domain payloads merge in domain order; otherwise a single
+    event heap interleaves every actor in modelled-time order
+    in-process.
     """
-    if not hasattr(workload, "build_actors"):
-        return workload.run(setup, mode)
     plan = shard_plan(workload, resolve_shards(shards))
     if plan is not None and len(plan) > 1 and not TRACE.active:
         from repro.sim.parallel import parallel_map

@@ -64,7 +64,7 @@ from repro.sim.apache import REQUEST_BYTES, ApacheBench
 from repro.sim.memcached import KEY_BYTES, VALUE_BYTES, MemcachedBench
 from repro.sim.netperf import NetperfRR, NetperfStream
 from repro.sim.results import RunResult
-from repro.sim.scheduler import WorkloadActor
+from repro.sim.scheduler import WorkloadActor, drive
 from repro.sim.setups import Setup
 
 #: Schema identifier of the per-tenant report on ``RunResult.tenants``.
@@ -423,25 +423,10 @@ class TenantScenario:
         from the spec), so domains share no runtime state and the shard
         layout cannot change any modelled number.
         """
-        from repro.obs.lite import LITE
-
-        payloads = []
-        for domain in domain_ids:
-            actor = self._build_actor(domain, setup, mode)
-            if LITE.active:
-                # Prime the monotonic clock like EventSim's heap seeding
-                # does, so burst records carry identical clock readings
-                # on the serial and sharded paths.
-                actor.clock()
-                alive = True
-                while alive:
-                    alive = actor.step()
-                    LITE.on_burst(actor, alive)
-            else:
-                while actor.step():
-                    pass
-            payloads.append(actor.payload())
-        return payloads
+        return [
+            drive(self._build_actor(domain, setup, mode)).payload()
+            for domain in domain_ids
+        ]
 
     def finalize_domains(
         self, payloads: List[Dict[str, object]], setup: Setup, mode: Mode
@@ -585,19 +570,12 @@ class TenantScenario:
             },
         }
 
-    # -- legacy loop engine ---------------------------------------------
-
-    def run(self, setup: Setup, mode: Mode) -> RunResult:
-        """Fixed call-order reference: domains run one after another."""
-        return self.finalize_domains(
-            self.run_domains(setup, mode, range(self.domains)), setup, mode
-        )
-
 
 class TenantActor(WorkloadActor):
     """A tenant's workload actor, instrumented for latency and stalls.
 
-    Wraps one of the PR-7 actors (stream/rr/memcached/apache) and
+    Wraps one of the single-ring workload actors (stream/rr/memcached/
+    apache, each a :class:`~repro.sim.scheduler.PhasedActor`) and
     samples, per measured burst:
 
     * **per-item latency** — the burst's CPU cycle delta plus its
@@ -647,9 +625,9 @@ class TenantActor(WorkloadActor):
         the warmup baseline.
         """
         inner = self.inner
-        if hasattr(inner, "i"):
-            return inner.i
-        return inner.driver.stats.packets_transmitted - inner.base_tx
+        if inner.progress_in_packets:
+            return inner.driver.stats.packets_transmitted - inner.base_tx
+        return inner.i
 
     def step(self) -> bool:
         inner = self.inner
@@ -681,9 +659,7 @@ class TenantActor(WorkloadActor):
         return {
             "domain": self.domain,
             "tenant": self.tenant.name,
-            "measured": self.inner.measured
-            if hasattr(self.inner, "measured")
-            else self._progress(),
+            "measured": self._progress(),
             "cycles": {c.value: v for c, v in account.cycles.items()},
             "events": {c.value: n for c, n in account.events.items()},
             "stall_cycles": self.stall_cycles,

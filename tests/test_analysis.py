@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.analysis import (
     format_table,
     run_figure7,
@@ -98,7 +99,7 @@ def test_figure8_model_validation():
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_figure12(fast=True)
+    return run_figure12(config=RunConfig(fast=True))
 
 
 def test_grid_covers_everything(grid):

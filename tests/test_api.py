@@ -1,10 +1,8 @@
-"""The repro.api facade, benchmark registry, and deprecation shims.
+"""The repro.api facade, the DMA request protocol and the benchmark registry.
 
-Run with ``-W error::DeprecationWarning`` semantics: the module-level
-``filterwarnings`` marker turns any DeprecationWarning that is not
-explicitly expected into a failure, proving the new request-protocol
-paths (and everything the facade re-exports) are warning-clean while
-the legacy positional map/unmap spellings still work and still warn.
+The module-level ``filterwarnings`` marker turns any DeprecationWarning
+into a failure: the request protocol and everything the facade
+re-exports must be warning-clean.
 """
 
 import pytest
@@ -29,7 +27,7 @@ def _api(mode=Mode.STRICT):
     return Machine(mode).dma_api(BDF)
 
 
-# -- the request protocol is warning-clean ---------------------------------
+# -- the request protocol --------------------------------------------------
 
 
 def test_request_protocol_round_trip_baseline():
@@ -81,42 +79,6 @@ def test_riommu_driver_requires_ring():
         )
 
 
-# -- legacy spellings still work, and warn ---------------------------------
-
-
-def test_legacy_dma_api_map_unmap_warns_but_works():
-    machine = Machine(Mode.STRICT)
-    api = machine.dma_api(BDF)
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning, match="map_request"):
-        handle = api.map(phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning, match="unmap_request"):
-        assert api.unmap(handle) == phys
-
-
-def test_legacy_iommu_driver_map_unmap_warns():
-    machine = Machine(Mode.STRICT)
-    machine.dma_api(BDF)
-    driver = machine.dma_api(BDF).driver
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning):
-        iova = driver.map(phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning):
-        driver.unmap(iova)
-
-
-def test_legacy_riommu_driver_map_unmap_warns():
-    machine = Machine(Mode.RIOMMU)
-    api = machine.dma_api(BDF)
-    ring = api.create_ring(8)
-    driver = api.driver
-    phys = machine.mem.alloc_dma_buffer(4096)
-    with pytest.warns(DeprecationWarning):
-        iova = driver.map(ring, phys, 1500, DmaDirection.FROM_DEVICE)
-    with pytest.warns(DeprecationWarning):
-        driver.unmap(iova, end_of_burst=True)
-
-
 # -- the facade ------------------------------------------------------------
 
 
@@ -134,9 +96,6 @@ def test_facade_exports_are_complete_and_importable():
 
 
 def test_facade_run_mode_sweep_smoke():
-    # config= is the warning-clean spelling; the module-level marker
-    # escalates DeprecationWarning, so this doubles as the proof that
-    # the RunConfig path never trips the legacy-kwarg shim.
     from repro.api import MLX_SETUP, RunConfig, run_mode_sweep
 
     results = run_mode_sweep(
@@ -145,14 +104,6 @@ def test_facade_run_mode_sweep_smoke():
     )
     assert set(results) == {Mode.NONE, Mode.RIOMMU}
     assert all(r.cycles_per_packet > 0 for r in results.values())
-
-
-def test_legacy_run_kwargs_warn_but_work():
-    from repro.api import MLX_SETUP, run_benchmark
-
-    with pytest.warns(DeprecationWarning, match="run_benchmark"):
-        result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
-    assert result.cycles_per_packet > 0
 
 
 # -- the benchmark registry ------------------------------------------------

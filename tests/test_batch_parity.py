@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro.devices.dma as dma_mod
 import repro.perf.cycles as cycles_mod
+from repro.config import RunConfig
 from repro.devices.dma import DmaBus, IommuBackend
 from repro.dma import DmaDirection
 from repro.faults import IoPageFault, TranslationFault
@@ -28,6 +29,7 @@ from repro.memory import MemorySystem, PAGE_SIZE
 from repro.modes import Mode
 from repro.sim.runner import run_benchmark
 from repro.sim.setups import MLX_SETUP
+from tests.dma_helpers import dma_map, dma_unmap
 
 BDF = 0x0300
 
@@ -88,7 +90,7 @@ def _run_scenario(mode, buf_sizes, ops):
         phys = mem.alloc_dma_buffer(size)
         fill = bytes((i * 37 + j) & 0xFF for j in range(size))
         mem.ram.write(phys, fill)
-        iova = driver.map(phys, size, DmaDirection.BIDIRECTIONAL)
+        iova = dma_map(driver, phys, size, DmaDirection.BIDIRECTIONAL)
         mapped.append((iova, phys, size))
 
     outcomes = []
@@ -110,7 +112,7 @@ def _run_scenario(mode, buf_sizes, ops):
 
     # Unmap everything (exercises the staged unmap charges too).
     for i, (iova, _phys, _size) in enumerate(mapped):
-        driver.unmap(iova, end_of_burst=(i == len(mapped) - 1))
+        dma_unmap(driver, iova, end_of_burst=(i == len(mapped) - 1))
 
     return {
         "outcomes": outcomes,
@@ -170,7 +172,7 @@ def test_fault_crossing_unmapped_hole_identical(size, overshoot, is_write):
         bus = DmaBus(mem, IommuBackend(iommu))
         phys = mem.alloc_dma_buffer(size)
         mem.ram.write(phys, bytes(j & 0xFF for j in range(size)))
-        iova = driver.map(phys, size, DmaDirection.BIDIRECTIONAL)
+        iova = dma_map(driver, phys, size, DmaDirection.BIDIRECTIONAL)
         # From iova to the end of the last *mapped page*, plus overshoot.
         mapped_end = ((iova + size - 1) // PAGE_SIZE + 1) * PAGE_SIZE
         length = mapped_end - iova + overshoot
@@ -209,8 +211,8 @@ def test_partial_scatter_before_fault_identical():
         phys_b = mem.alloc_dma_buffer(PAGE_SIZE)
         # Top-down allocator: iova_a is the topmost mapping, so running
         # off the end of *a* lands in guaranteed-unmapped space.
-        iova_a = driver.map(phys_a, PAGE_SIZE, DmaDirection.FROM_DEVICE)
-        iova_b = driver.map(phys_b, PAGE_SIZE, DmaDirection.FROM_DEVICE)
+        iova_a = dma_map(driver, phys_a, PAGE_SIZE, DmaDirection.FROM_DEVICE)
+        iova_b = dma_map(driver, phys_b, PAGE_SIZE, DmaDirection.FROM_DEVICE)
         parts = [
             (iova_b, b"\x11" * 100),
             (iova_a + PAGE_SIZE - 4, b"\x22" * 64),  # runs off the mapping
@@ -235,7 +237,8 @@ def test_partial_scatter_before_fault_identical():
 
 
 def _cell(mode, benchmark):
-    return run_benchmark(MLX_SETUP, mode, benchmark, fast=True).to_dict()
+    config = RunConfig(fast=True)
+    return run_benchmark(MLX_SETUP, mode, benchmark, config=config).to_dict()
 
 
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU])

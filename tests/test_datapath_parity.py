@@ -14,6 +14,7 @@ import copy
 
 import pytest
 
+from repro.config import RunConfig
 from repro import datapath
 from repro.analysis.diff import _run_live
 from repro.modes import ALL_MODES
@@ -21,6 +22,8 @@ from repro.obs.diffing import diff_traces
 from repro.obs.tracer import TRACE
 from repro.sim.runner import run_benchmark
 from repro.sim.setups import MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +36,7 @@ def _restore_default_build():
 
 def _run(mode, build, observe):
     datapath.set_datapath(build)
-    return run_benchmark(MLX_SETUP, mode, "rr", fast=True, observe=observe)
+    return run_benchmark(MLX_SETUP, mode, "rr", config=FAST, observe=observe)
 
 
 # -- the matrix: every mode x every build x observers on/off -------------
@@ -65,7 +68,7 @@ def test_parity_matrix(mode, observe):
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_columnar_build_reconciles_with_observers_on(mode):
     datapath.set_datapath("columnar")
-    result = run_benchmark(MLX_SETUP, mode, "stream", fast=True, observe=True)
+    result = run_benchmark(MLX_SETUP, mode, "stream", config=FAST, observe=True)
     profile = result.obs["profile"]
     assert profile["reconciles"] is True
     assert profile["reconcile_delta"] == 0.0

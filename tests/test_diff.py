@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.analysis.diff import _run_live, main as diff_main, run_diff
 from repro.obs.diffing import (
     DIFF_SCHEMA,
@@ -159,7 +160,7 @@ def _observed_timeline(mode_label):
     from repro.sim.setups import MLX_SETUP
 
     result = run_benchmark(
-        MLX_SETUP, Mode(mode_label), "rr", fast=True, observe=True
+        MLX_SETUP, Mode(mode_label), "rr", config=RunConfig(fast=True, observe=True)
     )
     return result.obs["timeline"]
 

@@ -1,85 +1,75 @@
-"""Engine parity matrix: loop == events == sharded events, bit-exactly.
+"""Event-kernel parity: every run reproduces the frozen reference outputs.
 
-The event-kernel tentpole's contract: every figure-12 mode, under the
-legacy fixed call-order loop and the event-scheduled kernel, with
-observers on or off, produces bit-identical modelled numbers (same
-``cycles_total``, same ``to_dict``, same ``obs`` summary).  The
-multi-ring workload must additionally be bit-identical between the
-legacy loop, the serial event heap, and sharded worker-pool execution —
-shard count, like ``--jobs``, is invisible in the results.
+The golden files hold what the original fixed call-order loop produced
+before it was removed: ``figure12_fast_golden.json`` for every
+figure-12 cell and ``scaling_fast_golden.json`` for the multi-domain
+workloads.  The event-scheduled kernel must reproduce them bit-exactly
+in every figure-12 mode, with observers on or off; the multi-ring
+workload must additionally be bit-identical between the serial event
+heap and sharded worker-pool execution — shard count, like ``--jobs``,
+is invisible in the results.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.tracer import TRACE
 from repro.sim.multiring import MultiRingStream
 from repro.sim.registry import BENCHMARKS
 from repro.sim.runner import BENCHMARK_NAMES, run_benchmark
-from repro.sim.scheduler import ENGINE_ENV, SHARDS_ENV, run_events
+from repro.sim.scheduler import SHARDS_ENV, run_events
 from repro.sim.setups import MLX_SETUP
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "figure12_fast_golden.json").read_text()
+)
 
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
     monkeypatch.delenv(SHARDS_ENV, raising=False)
     TRACE.reset()
     yield
     TRACE.reset()
 
 
-def _run(mode, engine, observe):
-    return run_benchmark(
-        MLX_SETUP, mode, "rr", fast=True, observe=observe, engine=engine
-    )
+def _run(mode, observe, benchmark="rr"):
+    config = RunConfig(fast=True, observe=observe)
+    return run_benchmark(MLX_SETUP, mode, benchmark, config=config)
 
 
-# -- the matrix: every mode x both engines x observers on/off ------------
+# -- the matrix: every mode x observers on/off, against the golden -------
 
 
 @pytest.mark.parametrize("observe", [False, True], ids=["observe-off", "observe-on"])
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_parity_matrix(mode, observe):
-    reference = _run(mode, "loop", observe)
-    result = _run(mode, "events", observe)
-    assert result.cycles_total == reference.cycles_total
-    assert result.to_dict() == reference.to_dict()
+    result = _run(mode, observe)
+    assert result.to_dict() == GOLDEN["mlx"]["rr"][mode.label]
     if observe:
-        assert result.obs == reference.obs
         assert result.obs["profile"]["reconciles"] is True
         assert result.obs["profile"]["reconcile_delta"] == 0.0
     else:
         assert result.obs is None
 
 
-# -- every figure-12 benchmark, spot-checked on one mode each ------------
+# -- every figure-12 benchmark, spot-checked on two modes each -----------
 
 
 @pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
 def test_every_benchmark_is_engine_invariant(bench_name):
     for mode in (Mode.STRICT, Mode.RIOMMU):
-        loop = run_benchmark(MLX_SETUP, mode, bench_name, fast=True, engine="loop")
-        events = run_benchmark(MLX_SETUP, mode, bench_name, fast=True, engine="events")
-        assert events.to_dict() == loop.to_dict(), (bench_name, mode.label)
+        result = _run(mode, False, bench_name)
+        assert result.to_dict() == GOLDEN["mlx"][bench_name][mode.label], mode
 
 
-# -- the engine env knob reaches run_benchmark ---------------------------
-
-
-def test_engine_env_knob_is_honoured(monkeypatch):
-    reference = _run(Mode.RIOMMU, "loop", False)
-    monkeypatch.setenv(ENGINE_ENV, "events")
-    via_env = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
-    assert via_env.to_dict() == reference.to_dict()
-    monkeypatch.setenv(ENGINE_ENV, "no-such-engine")
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
-
-
-# -- multi-ring: loop == serial events == sharded events -----------------
+# -- multi-ring: serial events == sharded events -------------------------
 
 
 _MSTREAM = dict(domains=4, packets=120, warmup=30)
@@ -88,12 +78,10 @@ _MSTREAM = dict(domains=4, packets=120, warmup=30)
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU],
                          ids=lambda m: m.label)
 def test_mstream_sharding_is_invisible(mode):
-    workload = MultiRingStream(**_MSTREAM)
-    loop = workload.run(MLX_SETUP, mode).to_dict()
     serial = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, mode, shards=1)
-    sharded = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, mode, shards=4)
-    assert serial.to_dict() == loop
-    assert sharded.to_dict() == loop
+    for shards in (2, 4):
+        sharded = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, mode, shards)
+        assert sharded.to_dict() == serial.to_dict(), shards
 
 
 def test_mstream_shards_env_knob(monkeypatch):
@@ -120,5 +108,5 @@ def test_mstream_runs_serially_while_tracing():
         assert len(TRACE.events) > 0
     finally:
         TRACE.disable()
-    reference = MultiRingStream(**_MSTREAM).run(MLX_SETUP, Mode.RIOMMU)
+    reference = run_events(MultiRingStream(**_MSTREAM), MLX_SETUP, Mode.RIOMMU)
     assert result.to_dict() == reference.to_dict()

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import RunConfig
 from repro.analysis.ascii_plot import bar_chart, stacked_bar_chart, xy_plot
 from repro.modes import Mode
 from repro.prefetch import (
@@ -15,6 +16,8 @@ from repro.prefetch import (
     synthesize_ring_trace,
 )
 from repro.sim import MLX_SETUP, run_benchmark, run_figure12
+
+FAST = RunConfig(fast=True)
 
 
 # -- trace persistence ------------------------------------------------------
@@ -69,7 +72,7 @@ def test_property_trace_roundtrip(tmp_path_factory, events):
 
 
 def test_run_result_to_dict():
-    result = run_benchmark(MLX_SETUP, Mode.NONE, "memcached", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.NONE, "memcached", config=FAST)
     data = result.to_dict()
     assert data["mode"] == "none"
     assert data["benchmark"] == "memcached"
@@ -80,7 +83,7 @@ def test_run_result_to_dict():
 def test_grid_save_json(tmp_path):
     grid = run_figure12(
         setups=[MLX_SETUP], benchmarks=["memcached"], modes=[Mode.NONE, Mode.RIOMMU],
-        fast=True,
+        config=FAST,
     )
     path = tmp_path / "grid.json"
     grid.save_json(path)

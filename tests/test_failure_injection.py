@@ -8,7 +8,7 @@ pressure), never silent corruption.
 
 import pytest
 
-from repro.core import RIommuDriver, RIommuHardware, RPte
+from repro.core import RIommuDriver, RIommuHardware, RIova, RPte
 from repro.devices import (
     Descriptor,
     DmaBus,
@@ -17,13 +17,14 @@ from repro.devices import (
     MLX_PROFILE,
     SimulatedNic,
 )
-from repro.dma import DmaDirection
+from repro.dma import DmaDirection, MapResult
 from repro.faults import IoPageFault, TranslationFault
 from repro.iommu import BaselineIommuDriver, Iommu
 from repro.iova import IovaExhaustedError, LinuxIovaAllocator
 from repro.kernel import Machine, NetDriver
 from repro.memory import MemorySystem, StaleReadError
 from repro.modes import Mode
+from tests.dma_helpers import dma_map, dma_unmap, ring_map
 
 BDF = 0x0300
 
@@ -75,16 +76,16 @@ def test_descriptor_with_garbage_address_corrupts_silently_without_iommu():
 class ForgetfulRIommuDriver(RIommuDriver):
     """A buggy driver that skips sync_mem after the rPTE store."""
 
-    def map(self, rid, phys_addr, size, direction):
+    def map_request(self, req):
+        phys_addr, size, direction, rid = req
         ring = self.device.ring(rid)
         rentry = ring.tail
         ring.tail = (ring.tail + 1) % ring.size
         ring.nmapped += 1
         ring.write_pte(rentry, RPte(phys_addr, size, direction, True))
         # BUG: no sync_mem here.
-        from repro.core.structures import RIova
-
-        return RIova(offset=0, rentry=rentry, rid=rid)
+        iova = RIova(offset=0, rentry=rentry, rid=rid)
+        return MapResult(device_addr=iova.packed(), ring=rid)
 
 
 def test_missing_flush_is_detected_by_coherency_domain():
@@ -93,7 +94,7 @@ def test_missing_flush_is_detected_by_coherency_domain():
     driver = ForgetfulRIommuDriver(mem, hw, BDF, Mode.RIOMMU_NC)
     rid = driver.create_ring(8)
     phys = mem.alloc_dma_buffer(4096)
-    iova = driver.map(rid, phys, 100, DmaDirection.FROM_DEVICE)
+    iova = ring_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     with pytest.raises(StaleReadError):
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
 
@@ -116,11 +117,11 @@ def test_riommu_ring_pressure_is_backpressure_not_corruption():
     driver = RIommuDriver(mem, hw, BDF, Mode.RIOMMU)
     rid = driver.create_ring(4)
     phys = mem.alloc_dma_buffer(4096)
-    iovas = [driver.map(rid, phys, 64, DmaDirection.FROM_DEVICE) for _ in range(4)]
+    iovas = [ring_map(driver, rid, phys, 64, DmaDirection.FROM_DEVICE) for _ in range(4)]
     from repro.core import RingOverflowError
 
     with pytest.raises(RingOverflowError):
-        driver.map(rid, phys, 64, DmaDirection.FROM_DEVICE)
+        ring_map(driver, rid, phys, 64, DmaDirection.FROM_DEVICE)
     # Every pre-existing mapping still translates correctly.
     for iova in iovas:
         assert hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE) == phys
@@ -138,7 +139,7 @@ def test_single_entry_iotlb_still_correct():
     for i in range(8):
         phys = mem.alloc_dma_buffer(4096)
         mem.ram.write(phys, bytes([i]) * 16)
-        buffers.append((driver.map(phys, 4096, DmaDirection.BIDIRECTIONAL), phys))
+        buffers.append((dma_map(driver, phys, 4096, DmaDirection.BIDIRECTIONAL), phys))
     for _round in range(3):
         for iova, phys in buffers:
             assert iommu.translate(BDF, iova, DmaDirection.TO_DEVICE) == phys
@@ -159,14 +160,14 @@ def test_nic_survives_fault_and_continues():
 
     # Sabotage the first posted descriptor's buffer, fault once ...
     _index, buffers = driver._rx_posted[0]
-    api.unmap(buffers[0].device_addr)
+    dma_unmap(api, buffers[0].device_addr)
     assert not nic.deliver_frame(b"b" * 800)
     assert len(resets) == 1
     # ... the head never advanced past the bad descriptor; re-arm it by
     # remapping a fresh buffer into the same descriptor (what a reset
     # handler would do), then traffic flows again.
     fresh = machine.mem.alloc_dma_buffer(4096)
-    handle = api.map(fresh, 1500, DmaDirection.FROM_DEVICE)
+    handle = dma_map(api, fresh, 1500, DmaDirection.FROM_DEVICE)
     repaired = Descriptor(segments=[(handle, 1500)], flags=FLAG_VALID)
     machine.mem.ram.write(driver.rx_ring.slot_phys(0), repaired.encode())
     assert nic.deliver_frame(b"recovered" * 10)

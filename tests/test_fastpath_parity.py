@@ -13,10 +13,13 @@ import pytest
 
 import repro.devices.dma as dma_mod
 import repro.memory.physical as physical_mod
+from repro.config import RunConfig
 from repro.memory import MemorySystem, PAGE_SIZE, PhysicalMemory
 from repro.modes import Mode
 from repro.sim.runner import run_benchmark, run_mode_sweep
 from repro.sim.setups import MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture
@@ -26,7 +29,7 @@ def no_fastpath(monkeypatch):
 
 
 def _cell(setup=MLX_SETUP, mode=Mode.STRICT, benchmark="stream"):
-    return run_benchmark(setup, mode, benchmark, fast=True).to_dict()
+    return run_benchmark(setup, mode, benchmark, config=FAST).to_dict()
 
 
 def test_fastpath_flag_defaults_on():
@@ -53,13 +56,13 @@ def test_cell_results_identical_without_fastpath(no_fastpath, bench, mode):
 def test_mode_sweep_identical_without_fastpath(no_fastpath):
     """A whole Figure 12 panel is unchanged, including mode ordering."""
     slow = run_mode_sweep(
-        MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), config=FAST
     )
     physical_mod.FASTPATH_ENABLED = True
     dma_mod.FASTPATH_ENABLED = True
     try:
         fast = run_mode_sweep(
-            MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), fast=True
+            MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), config=FAST
         )
     finally:
         physical_mod.FASTPATH_ENABLED = False

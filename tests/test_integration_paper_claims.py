@@ -7,18 +7,21 @@ and where the crossovers fall.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.sim import MLX_SETUP, BRCM_SETUP, run_mode_sweep
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture(scope="module")
 def mlx_stream():
-    return run_mode_sweep(MLX_SETUP, "stream", fast=True)
+    return run_mode_sweep(MLX_SETUP, "stream", config=FAST)
 
 
 @pytest.fixture(scope="module")
 def brcm_stream():
-    return run_mode_sweep(BRCM_SETUP, "stream", fast=True)
+    return run_mode_sweep(BRCM_SETUP, "stream", config=FAST)
 
 
 def test_abstract_claim_up_to_7x_over_baseline(mlx_stream):
@@ -116,10 +119,10 @@ def test_memcached_more_sensitive_than_apache_1k():
     """§5.2: memcached's lighter per-request logic makes IOMMU differences
     more pronounced than Apache 1KB's."""
     apache = run_mode_sweep(
-        MLX_SETUP, "apache 1K", modes=(Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP, "apache 1K", modes=(Mode.STRICT, Mode.RIOMMU), config=FAST
     )
     memcached = run_mode_sweep(
-        MLX_SETUP, "memcached", modes=(Mode.STRICT, Mode.RIOMMU), fast=True
+        MLX_SETUP, "memcached", modes=(Mode.STRICT, Mode.RIOMMU), config=FAST
     )
     apache_gain = (
         apache[Mode.RIOMMU].throughput_metric / apache[Mode.STRICT].throughput_metric
@@ -135,7 +138,7 @@ def test_rr_improvement_is_modest():
     """Table 2: RR gains are small (1.02-1.25x) because CPU demand is low."""
     rr = run_mode_sweep(
         MLX_SETUP, "rr", modes=(Mode.STRICT, Mode.DEFER_PLUS, Mode.RIOMMU, Mode.NONE),
-        fast=True,
+        config=FAST,
     )
     gain_vs_strict = (
         rr[Mode.RIOMMU].throughput_metric / rr[Mode.STRICT].throughput_metric

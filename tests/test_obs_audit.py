@@ -9,6 +9,7 @@ a real rIOTLB entry.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.dma import DmaDirection, MapRequest, UnmapRequest
 from repro.modes import ALL_MODES, Mode
 from repro.obs.audit import ProtectionAuditor
@@ -28,9 +29,8 @@ def _clean_global_tracer():
 
 
 def _audit(mode, benchmark="stream"):
-    return run_benchmark(MLX_SETUP, mode, benchmark, fast=True, observe=True).obs[
-        "audit"
-    ]
+    config = RunConfig(fast=True, observe=True)
+    return run_benchmark(MLX_SETUP, mode, benchmark, config=config).obs["audit"]
 
 
 @pytest.mark.parametrize("mode", [Mode.DEFER, Mode.DEFER_PLUS])

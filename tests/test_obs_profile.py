@@ -9,12 +9,15 @@ property (observers on never change a modelled number).
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import CycleProfiler, RunObserver, observe_requested
 from repro.obs.tracer import TRACE
 from repro.perf.cycles import Component, CycleAccount, exact_add
 from repro.sim.runner import run_benchmark, run_figure12
 from repro.sim.setups import ALL_SETUPS, MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture(autouse=True)
@@ -135,7 +138,7 @@ def test_profiler_moves_pre_reset_cycles_to_warmup_phase():
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 @pytest.mark.parametrize("bench", ["stream", "rr"])
 def test_attribution_reconciles_for_every_mode(mode, bench):
-    result = run_benchmark(MLX_SETUP, mode, bench, fast=True, observe=True)
+    result = run_benchmark(MLX_SETUP, mode, bench, config=FAST, observe=True)
     profile = result.obs["profile"]
     assert profile["reconciles"] is True
     assert profile["reconcile_delta"] == 0.0
@@ -147,8 +150,8 @@ def test_attribution_reconciles_for_every_mode(mode, bench):
 
 
 def test_layer_breakdown_names_the_charging_driver():
-    strict = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True, observe=True)
-    riommu = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True, observe=True)
+    strict = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=FAST, observe=True)
+    riommu = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=FAST, observe=True)
     assert "iommu-driver" in strict.obs["profile"]["by_layer"]
     assert "riommu-driver" in riommu.obs["profile"]["by_layer"]
 
@@ -161,7 +164,7 @@ def _slice_dict(**kwargs):
         setups=ALL_SETUPS,
         benchmarks=("rr", "memcached"),
         modes=(Mode.NONE, Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
+        config=FAST,
         **kwargs,
     ).to_dict()
 
@@ -171,9 +174,9 @@ def test_figure12_slice_bit_identical_with_observation_on():
 
 
 def test_observation_composes_with_recording_tracer():
-    plain = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True)
+    plain = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", config=FAST)
     TRACE.enable()
-    observed = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True, observe=True)
+    observed = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", config=FAST, observe=True)
     TRACE.disable()
     assert observed.to_dict() == plain.to_dict()
     assert observed.obs["profile"]["reconciles"] is True
@@ -185,7 +188,7 @@ def test_observed_grid_identical_serial_vs_parallel():
         setups=(MLX_SETUP,),
         benchmarks=("rr",),
         modes=(Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
+        config=FAST,
         jobs=1,
         observe=True,
     )
@@ -193,7 +196,7 @@ def test_observed_grid_identical_serial_vs_parallel():
         setups=(MLX_SETUP,),
         benchmarks=("rr",),
         modes=(Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
+        config=FAST,
         jobs=2,
         observe=True,
     )
@@ -212,12 +215,12 @@ def test_observe_env_flag(monkeypatch):
     assert not observe_requested()
     monkeypatch.setenv("REPRO_OBSERVE", "1")
     assert observe_requested()
-    result = run_benchmark(MLX_SETUP, Mode.NONE, "rr", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.NONE, "rr", config=RunConfig.from_env(fast=True))
     assert result.obs is not None
 
 
 def test_unobserved_run_attaches_no_summary():
-    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=FAST)
     assert result.obs is None
     assert not TRACE.active  # observer cleaned up, nothing left behind
 

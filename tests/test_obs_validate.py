@@ -10,12 +10,15 @@ import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import Mode
 from repro.obs.export import write_jsonl
 from repro.obs.tracer import TRACE
 from repro.obs.validate import main
 from repro.sim.runner import run_benchmark
 from repro.sim.setups import MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture(autouse=True)
@@ -29,7 +32,7 @@ def _clean_global_tracer():
 def trace_path(tmp_path):
     """A real JSONL trace captured from one fast benchmark run."""
     TRACE.enable()
-    run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=FAST)
     TRACE.disable()
     path = tmp_path / "run.jsonl"
     write_jsonl(TRACE, path)
@@ -121,7 +124,7 @@ def timeline_path(tmp_path):
     """A timeline JSONL exported from one observed run."""
     from repro.obs.timeline import write_timeline
 
-    result = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", fast=True, observe=True)
+    result = run_benchmark(MLX_SETUP, Mode.DEFER, "rr", config=FAST, observe=True)
     path = tmp_path / "timeline.jsonl"
     write_timeline(result.obs["timeline"], path)
     return path

@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.sim.parallel import (
     grid_cells,
@@ -22,6 +23,8 @@ from repro.sim.parallel import (
 )
 from repro.sim.runner import BENCHMARK_NAMES, run_figure12
 from repro.sim.setups import ALL_SETUPS, MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "figure12_fast_golden.json"
 
@@ -58,7 +61,7 @@ def test_parallel_map_unpicklable_falls_back_to_serial():
 def test_run_cell_matches_run_benchmark():
     from repro.sim.runner import run_benchmark
 
-    direct = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    direct = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=FAST)
     via_cell = run_cell(("mlx", "rr", "strict", True))
     assert direct.to_dict() == via_cell.to_dict()
 
@@ -84,13 +87,13 @@ def test_grid_parallel_identical_to_serial():
 def test_run_figure12_jobs_parity_and_golden():
     """Full fast grid: jobs=1 == jobs=4 == the pre-optimisation golden.
 
-    The golden file was captured from ``run_figure12(fast=True)`` before
+    The golden file was captured from ``run_figure12`` on fast cells before
     the single-page fast paths, the translation memo, and the parallel
     runner existed — so this test pins both parallel/serial parity *and*
     that the optimisations changed no modelled number.
     """
-    serial = run_figure12(fast=True, jobs=1).to_dict()
-    parallel = run_figure12(fast=True, jobs=4).to_dict()
+    serial = run_figure12(config=FAST, jobs=1).to_dict()
+    parallel = run_figure12(config=FAST, jobs=4).to_dict()
     assert serial == parallel
     golden = json.loads(GOLDEN.read_text())
     assert serial == golden
@@ -102,7 +105,7 @@ def test_run_grid_defaults_cover_all_benchmarks():
 
 
 def test_knob_env_exports_reach_worker_processes(monkeypatch):
-    """set_datapath/set_engine/set_shards and REPRO_OBSERVE must be
+    """set_datapath/set_shards and REPRO_OBSERVE must be
     visible inside ``run_grid``'s worker processes, not just the parent.
 
     The knobs work by exporting environment variables that fork (or
@@ -116,13 +119,11 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     from repro.obs.profile import OBSERVE_ENV
     from repro.sim import scheduler
 
-    names = (datapath.ENV_VAR, OBSERVE_ENV, scheduler.ENGINE_ENV,
-             scheduler.SHARDS_ENV)
+    names = (datapath.ENV_VAR, OBSERVE_ENV, scheduler.SHARDS_ENV)
     # monkeypatch registers restores for every name before the sets.
     for name in names:
         monkeypatch.delenv(name, raising=False)
     datapath.set_datapath("batched")
-    scheduler.set_engine("events")
     scheduler.set_shards(3)
     monkeypatch.setenv(OBSERVE_ENV, "1")
     try:
@@ -134,6 +135,5 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     for probe in probes:
         assert probe[datapath.ENV_VAR] == "batched"
         assert probe[OBSERVE_ENV] == "1"
-        assert probe[scheduler.ENGINE_ENV] == "events"
         assert probe[scheduler.SHARDS_ENV] == "3"
         assert probe["_pid"]

@@ -1,15 +1,13 @@
-"""The unified RunConfig surface: round trips, shims, worker parity.
+"""The unified RunConfig surface: round trips, loud failures, worker parity.
 
-The api_redesign contract: every run-shaping knob lives in one frozen
-``RunConfig``; the environment is just its wire format
-(``from_env(to_env()) == config``); the legacy kwargs and the
-pre-PR-6 veto variables keep working through exactly one deprecation
-funnel; and grid worker processes reconstruct the parent's config
-bit-identically from the exported environment.
+The contract: every run-shaping knob lives in one frozen ``RunConfig``;
+the environment is just its wire format (``from_env(to_env()) ==
+config``); a malformed variable raises naming it; and grid worker
+processes reconstruct the parent's config bit-identically from the
+exported environment.
 """
 
 import os
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -17,29 +15,21 @@ import pytest
 from repro.config import (
     DATAPATH_ENV,
     DEFAULT_BUILD,
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
     ENV_VARS,
-    LEGACY_BATCH_ENV,
-    LEGACY_FASTPATH_ENV,
     OBSERVE_ENV,
     SHARDS_ENV,
     TENANCY_ENV,
     TIMELINE_WINDOW_ENV,
     RunConfig,
-    datapath_from_env,
-    resolve_run_config,
 )
-from repro.modes import Mode
-from repro.sim.runner import run_benchmark, run_with_config
-from repro.sim.setups import MLX_SETUP
+from repro.sim.runner import _resolve_config
 from repro.sim.tenancy import preset_scenario
 
 
 @pytest.fixture(autouse=True)
 def _clean_knob_env(monkeypatch):
     """Every test sees a pristine knob environment."""
-    for name in ENV_VARS + (LEGACY_FASTPATH_ENV, LEGACY_BATCH_ENV):
+    for name in ENV_VARS:
         monkeypatch.delenv(name, raising=False)
 
 
@@ -50,7 +40,6 @@ def test_defaults_match_the_documented_knob_defaults():
     config = RunConfig()
     assert config.fast is False
     assert config.datapath == DEFAULT_BUILD
-    assert config.engine == DEFAULT_ENGINE
     assert config.shards == 1
     assert config.observe == "off"
     assert config.timeline_window is None
@@ -60,16 +49,24 @@ def test_defaults_match_the_documented_knob_defaults():
 def test_config_is_frozen():
     config = RunConfig()
     with pytest.raises(FrozenInstanceError):
-        config.engine = "loop"
+        config.shards = 4
 
 
-def test_bad_build_and_engine_fail_loudly():
+def test_bad_build_and_shards_fail_loudly():
     with pytest.raises(ValueError, match="unknown datapath build"):
         RunConfig(datapath="vectorized")
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunConfig(engine="vroom")
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunConfig.from_env({ENGINE_ENV: "vroom"})
+    with pytest.raises(ValueError, match="unknown datapath build"):
+        RunConfig.from_env({DATAPATH_ENV: "vectorized"})
+    # A shard count that does not parse is an error, not a silent
+    # fallback to a serial run.
+    with pytest.raises(ValueError, match="REPRO_SHARDS"):
+        RunConfig.from_env({SHARDS_ENV: "not-a-number"})
+
+
+def test_removed_veto_variables_are_ignored():
+    """The old REPRO_DISABLE_* switches no longer select a build."""
+    env = {"REPRO_DISABLE_FASTPATH": "1", "REPRO_DISABLE_BATCH": "1"}
+    assert RunConfig.from_env(env).datapath == DEFAULT_BUILD
 
 
 def test_observe_accepts_levels_and_legacy_bools():
@@ -107,7 +104,6 @@ def test_to_env_from_env_round_trips_every_field():
     config = RunConfig(
         fast=True,
         datapath="batched",
-        engine="loop",
         shards=4,
         observe=True,
         timeline_window=5000.0,
@@ -132,106 +128,45 @@ def test_to_env_omits_unset_optionals():
 def test_from_env_reads_the_documented_variables():
     env = {
         DATAPATH_ENV: "scalar",
-        ENGINE_ENV: "loop",
         SHARDS_ENV: "3",
         OBSERVE_ENV: "1",
         TIMELINE_WINDOW_ENV: "250000.0",
     }
     config = RunConfig.from_env(env)
     assert config.datapath == "scalar"
-    assert config.engine == "loop"
     assert config.shards == 3
     assert config.observe == "full"
     assert config.timeline_window == 250000.0
 
 
 def test_exported_sets_then_restores_the_environment():
-    os.environ[ENGINE_ENV] = "loop"
+    os.environ[DATAPATH_ENV] = "scalar"
     os.environ.pop(SHARDS_ENV, None)
-    config = RunConfig(engine="events", shards=2, tenancy=preset_scenario("balanced"))
+    config = RunConfig(shards=2, tenancy=preset_scenario("balanced"))
     with config.exported():
-        assert os.environ[ENGINE_ENV] == "events"
+        assert os.environ[DATAPATH_ENV] == DEFAULT_BUILD
         assert os.environ[SHARDS_ENV] == "2"
         assert TENANCY_ENV in os.environ
         assert RunConfig.from_env() == replace(config, fast=False)
-    assert os.environ[ENGINE_ENV] == "loop"
+    assert os.environ[DATAPATH_ENV] == "scalar"
     assert SHARDS_ENV not in os.environ
     assert TENANCY_ENV not in os.environ
 
 
-# -- the legacy veto variables -------------------------------------------
-
-
-def test_legacy_fastpath_veto_warns_and_downgrades_the_build():
-    with pytest.warns(DeprecationWarning, match=LEGACY_FASTPATH_ENV):
-        build = datapath_from_env({LEGACY_FASTPATH_ENV: "1"})
-    assert build == "batched"   # columnar needs both fast paths
-    with pytest.warns(DeprecationWarning):
-        both = datapath_from_env(
-            {LEGACY_FASTPATH_ENV: "1", LEGACY_BATCH_ENV: "1"}
-        )
-    assert both == "scalar"
-
-
-def test_legacy_vetoes_reach_from_env_with_one_warning_each():
-    with pytest.warns(DeprecationWarning, match=LEGACY_BATCH_ENV):
-        config = RunConfig.from_env({LEGACY_BATCH_ENV: "1"})
-    assert config.datapath == "batched"
-
-
-# -- the kwarg shim ------------------------------------------------------
-
-
-def test_legacy_kwargs_warn_once_naming_the_replacement():
-    with pytest.warns(DeprecationWarning) as caught:
-        config = resolve_run_config(None, fast=True, engine="loop", shards=2)
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert "fast=True" in message and "engine='loop'" in message
-    assert "config=RunConfig(" in message
-    assert config.fast is True
-    assert config.engine == "loop"
-    assert config.shards == 2
-
-
-def test_none_engine_and_shards_consult_env_without_warning():
-    os.environ[ENGINE_ENV] = "loop"
-    os.environ[SHARDS_ENV] = "3"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        config = resolve_run_config(None, engine=None, shards=None)
-    assert config.engine == "loop"
-    assert config.shards == 3
+# -- the runner's config resolution ---------------------------------------
 
 
 def test_observe_kwarg_merges_silently():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert resolve_run_config(None, observe=True).observe == "full"
-        assert resolve_run_config(None, observe=None).observe == "off"
-        assert resolve_run_config(None, observe="lite").observe == "lite"
-        explicit = resolve_run_config(RunConfig(observe=True), observe=False)
+    assert _resolve_config(None, observe=True).observe == "full"
+    assert _resolve_config(None, observe=None).observe == "off"
+    assert _resolve_config(None, observe="lite").observe == "lite"
+    explicit = _resolve_config(RunConfig(observe=True), observe=False)
     assert explicit.observe == "off"
 
 
 def test_config_argument_passes_through_unchanged():
-    config = RunConfig(fast=True, engine="loop")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        assert resolve_run_config(config) is config
-
-
-# -- behavioural equivalence ---------------------------------------------
-
-
-def test_run_benchmark_config_is_bit_identical_to_legacy_kwargs():
-    with pytest.warns(DeprecationWarning):
-        legacy = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
-    via_config = run_benchmark(
-        MLX_SETUP, Mode.STRICT, "rr", config=RunConfig(fast=True)
-    )
-    direct = run_with_config(MLX_SETUP, Mode.STRICT, "rr", RunConfig(fast=True))
-    assert legacy.to_dict() == via_config.to_dict() == direct.to_dict()
+    config = RunConfig(fast=True, shards=2)
+    assert _resolve_config(config) is config
 
 
 def test_worker_pool_reconstructs_an_identical_config():
@@ -242,7 +177,6 @@ def test_worker_pool_reconstructs_an_identical_config():
 
     config = RunConfig(
         datapath="batched",
-        engine="loop",
         shards=2,
         observe=True,
         tenancy=preset_scenario("aggressor"),

@@ -1,12 +1,12 @@
 """Unit tests for the event-scheduled simulation kernel.
 
-Covers the kernel's plain-data pieces in isolation: engine/shard knob
+Covers the kernel's plain-data pieces in isolation: shard knob
 resolution, the monotonic cycle clock, the deterministic event heap,
 bounded EventSim runs, the round-robin shard planner, and the
 checkpoint guards (tracer refusal, schema and datapath-build
-validation).  The cross-engine bit-parity matrix lives in
-``test_event_parity.py``; checkpoint/resume determinism in
-``test_checkpoint.py``.
+validation).  Parity against the golden outputs lives in
+``test_event_parity.py`` and ``test_scaling_golden.py``;
+checkpoint/resume determinism in ``test_checkpoint.py``.
 """
 
 from __future__ import annotations
@@ -23,18 +23,13 @@ from repro.sim.netperf import NetperfRR
 from repro.sim.multiring import MultiRingStream
 from repro.sim.scheduler import (
     CHECKPOINT_SCHEMA,
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
     SHARDS_ENV,
     EventScheduler,
     EventSim,
     load_checkpoint,
-    resolve_engine,
     resolve_shards,
     run_events,
     save_checkpoint,
-    set_engine,
     set_shards,
     shard_plan,
 )
@@ -43,37 +38,13 @@ from repro.sim.setups import MLX_SETUP
 
 @pytest.fixture(autouse=True)
 def _clean_knobs(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
     monkeypatch.delenv(SHARDS_ENV, raising=False)
     TRACE.reset()
     yield
     TRACE.reset()
 
 
-# -- engine / shard knob resolution --------------------------------------
-
-
-def test_resolve_engine_defaults_and_env(monkeypatch):
-    assert resolve_engine() == DEFAULT_ENGINE == "events"
-    assert resolve_engine("loop") == "loop"
-    monkeypatch.setenv(ENGINE_ENV, "loop")
-    assert resolve_engine() == "loop"
-    # Explicit argument wins over the environment.
-    assert resolve_engine("events") == "events"
-
-
-def test_resolve_engine_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("turbo")
-    monkeypatch.setenv(ENGINE_ENV, "turbo")
-    with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine()
-
-
-def test_set_engine_exports_to_workers():
-    for engine in ENGINES:
-        assert set_engine(engine) == engine
-        assert os.environ[ENGINE_ENV] == engine
+# -- shard knob resolution -----------------------------------------------
 
 
 def test_resolve_shards_defaults_env_and_cpu(monkeypatch):
@@ -82,7 +53,10 @@ def test_resolve_shards_defaults_env_and_cpu(monkeypatch):
     monkeypatch.setenv(SHARDS_ENV, "5")
     assert resolve_shards() == 5
     monkeypatch.setenv(SHARDS_ENV, "not-a-number")
-    assert resolve_shards() == 1
+    with pytest.raises(ValueError, match=SHARDS_ENV):
+        resolve_shards()
+    # An explicit argument never reads the environment.
+    assert resolve_shards(2) == 2
     # 0 and negatives mean one shard per CPU.
     assert resolve_shards(0) == (os.cpu_count() or 1)
     assert resolve_shards(-2) == (os.cpu_count() or 1)
@@ -174,7 +148,7 @@ def test_event_sim_bounded_run_then_completes():
     assert sim.scheduler.events_dispatched == 3
     assert sim.run() is True
     assert sim.finished
-    reference = _small_rr().run(MLX_SETUP, Mode.STRICT)
+    reference = run_events(_small_rr(), MLX_SETUP, Mode.STRICT)
     assert sim.result().to_dict() == reference.to_dict()
 
 
@@ -206,18 +180,6 @@ def test_shard_plan_inapplicable_cases():
     assert shard_plan(MultiRingStream(domains=1), 4) is None
     # Single-domain figure-12 workloads have no per-domain protocol.
     assert shard_plan(_small_rr(), 4) is None
-
-
-def test_run_events_falls_back_to_legacy_run():
-    """Workloads without the actor protocol keep working unchanged."""
-
-    class Legacy:
-        def run(self, setup, mode):
-            return _small_rr().run(setup, mode)
-
-    via_events = run_events(Legacy(), MLX_SETUP, Mode.STRICT)
-    reference = _small_rr().run(MLX_SETUP, Mode.STRICT)
-    assert via_events.to_dict() == reference.to_dict()
 
 
 # -- checkpoint guards ---------------------------------------------------

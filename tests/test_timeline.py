@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from repro.config import RunConfig
 from repro.modes import ALL_MODES, Mode
 from repro.obs.profile import RunObserver
 from repro.obs.timeline import (
@@ -34,6 +35,8 @@ from repro.obs.tracer import TRACE
 from repro.sim.runner import run_benchmark
 from repro.sim.setups import ALL_SETUPS, BRCM_SETUP, MLX_SETUP
 
+FAST = RunConfig(fast=True)
+
 
 @pytest.fixture(autouse=True)
 def _clean_global_tracer():
@@ -44,7 +47,7 @@ def _clean_global_tracer():
 
 def _observed_run(setup, mode, benchmark="stream", **kwargs):
     with RunObserver(clock_hz=setup.clock_hz) as observer:
-        result = run_benchmark(setup, mode, benchmark, fast=True, **kwargs)
+        result = run_benchmark(setup, mode, benchmark, config=FAST, **kwargs)
     return result, observer
 
 
@@ -170,7 +173,7 @@ def test_merge_is_bit_deterministic_across_worker_counts():
             setups=[MLX_SETUP],
             benchmarks=("stream", "rr"),
             modes=[Mode.STRICT, Mode.DEFER],
-            fast=True,
+            config=FAST,
             jobs=jobs,
             observe=True,
         )
@@ -234,7 +237,7 @@ def test_narrower_windows_same_total():
     _result, wide = _observed_run(MLX_SETUP, Mode.STRICT)
     TRACE.reset()
     with RunObserver(clock_hz=MLX_SETUP.clock_hz, timeline_window=10_000) as narrow:
-        result = run_benchmark(MLX_SETUP, Mode.STRICT, "stream", fast=True)
+        result = run_benchmark(MLX_SETUP, Mode.STRICT, "stream", config=FAST)
     wide_summary = wide.timeline.summary()
     narrow_summary = narrow.timeline.summary()
     assert len(narrow_summary["windows"]) > len(wide_summary["windows"])

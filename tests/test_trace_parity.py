@@ -9,6 +9,7 @@ exactly.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.faults import IoPageFault
 from repro.kernel.machine import Machine
 from repro.modes import Mode
@@ -16,6 +17,8 @@ from repro.obs.export import metrics_summary, validate_records, jsonl_records
 from repro.obs.tracer import TRACE
 from repro.sim.runner import run_benchmark, run_figure12
 from repro.sim.setups import ALL_SETUPS, MLX_SETUP
+
+FAST = RunConfig(fast=True)
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +33,7 @@ def _fast_grid_dict(**kwargs):
         setups=ALL_SETUPS,
         benchmarks=("rr", "memcached"),
         modes=(Mode.NONE, Mode.STRICT, Mode.DEFER, Mode.RIOMMU),
-        fast=True,
+        config=FAST,
         **kwargs,
     ).to_dict()
 
@@ -65,9 +68,9 @@ def test_tracing_forces_grid_serial_and_still_matches():
 
 
 def test_per_run_metrics_identical_with_tracing_on():
-    plain = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    plain = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=FAST)
     TRACE.enable()
-    traced = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", fast=True)
+    traced = run_benchmark(MLX_SETUP, Mode.RIOMMU, "rr", config=FAST)
     TRACE.disable()
     assert plain.metrics is not None
     assert traced.metrics == plain.metrics
@@ -81,7 +84,7 @@ def test_trace_reconciles_with_cycle_account_totals():
     ``RunResult.cycles_total`` reports.
     """
     TRACE.enable()
-    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", fast=True)
+    result = run_benchmark(MLX_SETUP, Mode.STRICT, "rr", config=FAST)
     TRACE.disable()
     summary = metrics_summary(TRACE)
     replayed_total = sum(summary["cycles_by_component"].values())
