@@ -50,25 +50,23 @@ class MultiRingStream:
     #: extra Machine() arguments (cost policy/overrides for ablations)
     machine_kwargs: Dict = field(default_factory=dict)
 
-    def _domain_stream(self) -> NetperfStream:
-        """The per-domain sub-workload (a plain netperf stream)."""
-        return NetperfStream(
+    def _domain_actor(self, domain: int, setup: Setup, mode: Mode) -> StreamActor:
+        """One domain's actor: a plain netperf stream, tagged with its index."""
+        stream = NetperfStream(
             packets=self.packets,
             warmup=self.warmup,
             pump_interval=self.pump_interval,
             machine_kwargs=dict(self.machine_kwargs),
         )
+        actor = StreamActor(stream, setup, mode, self.packets)
+        actor.domain = domain
+        return actor
 
     # -- event-kernel protocol ------------------------------------------
 
     def build_actors(self, setup: Setup, mode: Mode) -> List[StreamActor]:
-        """One stream actor per domain, tagged with its domain index."""
-        actors = []
-        for domain in range(self.domains):
-            actor = StreamActor(self._domain_stream(), setup, mode, self.packets)
-            actor.domain = domain
-            actors.append(actor)
-        return actors
+        """One stream actor per domain."""
+        return [self._domain_actor(domain, setup, mode) for domain in range(self.domains)]
 
     def finalize_events(
         self, actors: List[StreamActor], setup: Setup, mode: Mode
@@ -90,12 +88,10 @@ class MultiRingStream:
         event heap — domains are independent, so the interleaving (or
         its absence) cannot change any modelled number.
         """
-        payloads = []
-        for domain in domain_ids:
-            actor = StreamActor(self._domain_stream(), setup, mode, self.packets)
-            actor.domain = domain
-            payloads.append(_actor_payload(drive(actor)))
-        return payloads
+        return [
+            _actor_payload(drive(self._domain_actor(domain, setup, mode)))
+            for domain in domain_ids
+        ]
 
     def finalize_domains(
         self, payloads: List[Dict[str, object]], setup: Setup, mode: Mode

@@ -72,9 +72,7 @@ def test_resume_at_every_phase_boundary(tmp_path):
 
 def test_stream_checkpoint_roundtrip(tmp_path):
     workload = NetperfStream(packets=120, warmup=30)
-    reference = run_events(
-        NetperfStream(packets=120, warmup=30), MLX_SETUP, Mode.STRICT
-    )
+    reference = run_events(workload, MLX_SETUP, Mode.STRICT)
     sim = EventSim(workload, MLX_SETUP, Mode.STRICT)
     sim.run(max_events=2)
     path = tmp_path / "stream.ckpt"
