@@ -474,10 +474,10 @@ class LiteTelemetry:
         self.counters.on_reset(account)
 
     def on_burst(self, actor, alive: bool, clock: Optional[float] = None) -> None:
-        """One actor burst completed (event kernel / shard loops).
+        """One actor burst completed (event kernel / ``scheduler.drive``).
 
         The event kernel passes the clock it just computed for heap
-        re-posting; loop-path callers leave it None and pay the read.
+        re-posting; ``drive`` leaves it None and pays the read.
         """
         if clock is None:
             clock = actor.clock()
