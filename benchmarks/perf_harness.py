@@ -312,10 +312,12 @@ def run_harness(
         if prev is not None and row["seconds"] > 0:
             # > 1.0 means this tree is faster than the committed report.
             row["speedup_vs_previous"] = round(prev / row["seconds"], 3)
-    # The one funnel for every knob the timings ran under: the same
-    # RunConfig.from_env() the grid workers resolve, so the recorded
-    # fields can never drift from what actually executed.
+    # The one funnel for every knob the timings ran under: the live
+    # build plus the same RunConfig.from_env() the grid workers
+    # resolve, so the recorded fields can never drift from what
+    # actually executed.
     config = RunConfig.from_env()
+    build = repro_datapath.current_build()
     report: Dict[str, object] = {
         "schema": "riommu-repro/bench-runner/v2",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -324,8 +326,8 @@ def run_harness(
         # v2: which datapath build produced these numbers — consumers
         # must never compare timings across builds.  ``fastpath_enabled``
         # is kept for v1 readers (it mirrors build != scalar).
-        "datapath": config.datapath,
-        "fastpath_enabled": config.datapath != "scalar",
+        "datapath": build,
+        "fastpath_enabled": build != "scalar",
         # v2: the shard knob the timings ran under (cells time whatever
         # the knob selects; the sharding section below always compares
         # serial vs sharded explicitly).
@@ -394,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
     parser.add_argument(
         "--datapath",
-        choices=sorted(repro_datapath.BUILDS),
+        choices=repro_datapath.BUILDS,
         default=None,
         help="datapath build to benchmark (default: REPRO_DATAPATH or "
         "the columnar default); recorded in the report's 'datapath' "

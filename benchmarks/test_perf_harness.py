@@ -35,7 +35,7 @@ def test_harness_smoke_emits_report(tmp_path):
     assert out.exists()
     on_disk = json.loads(out.read_text())
     assert on_disk["schema"] == "riommu-repro/bench-runner/v2"
-    assert on_disk["datapath"] in ("scalar", "batched", "columnar")
+    assert on_disk["datapath"] in ("scalar", "columnar")
     assert on_disk["fastpath_enabled"] == (on_disk["datapath"] != "scalar")
     assert on_disk["grid"]["cells"] == 2
     assert on_disk["grid"]["serial_seconds"] > 0
@@ -162,26 +162,17 @@ def test_lite_overhead_gate_quantifies_breaches(monkeypatch):
 def test_fastpath_speeds_up_single_cell():
     """The stream cell must be >= 15% faster with fast paths enabled.
 
-    The slow arm runs in a subprocess under the ``batched`` build with
-    the fast-path flag switched off in every module that copies it, so
+    The slow arm runs in a subprocess under the ``scalar`` build, so
     both arms measure the same code on the same machine back to back.
-    Note the flag only gates
-    the chunk-loop fast paths and the translation memo; the always-on
-    micro-optimisations (context-lookup cache, cached rbtree keys,
-    inlined cacheline arithmetic) speed up *both* arms, which is why
-    this toggle shows ~20% while the improvement against the
-    pre-optimisation tree is >= 25% (pinned at PR time: 0.40s vs the
-    0.57s baseline for this cell, ~30%).
+    The always-on micro-optimisations (context-lookup cache, cached
+    rbtree keys, inlined cacheline arithmetic) speed up *both* arms.
     """
     code = (
         "import sys, time\n"
         "from repro.sim.parallel import run_cell\n"
         "if sys.argv[1:] == ['slow']:\n"
-        "    import repro.datapath, repro.devices.dma, repro.memory.physical\n"
-        "    repro.datapath.set_datapath('batched')\n"
-        "    for module in (repro.datapath, repro.devices.dma,\n"
-        "                   repro.memory.physical):\n"
-        "        module.FASTPATH_ENABLED = False\n"
+        "    import repro.datapath\n"
+        "    repro.datapath.set_datapath('scalar')\n"
         "cell = ('mlx', 'stream', 'strict', False)\n"
         "best = min(\n"
         "    (lambda t0: (run_cell(cell), time.perf_counter() - t0)[1])(\n"

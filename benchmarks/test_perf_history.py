@@ -22,6 +22,7 @@ from perf_history import (
     check_history_regression,
     history_entry,
     load_history,
+    report_datapath,
     report_observe,
     rolling_baseline,
 )
@@ -207,6 +208,39 @@ def test_history_entry_carries_engine_and_sharding(tmp_path):
     assert history[0]["engine"] == "events"
     assert check_history_regression(_report(0.07), history, 0.25) is None
     assert check_history_regression(_report(0.2), history, 0.25) is not None
+
+
+def test_batched_entries_load_but_never_join_another_build(tmp_path):
+    """Literal v2 lines from the removed ``batched`` build still load and
+    gate, but only against each other — never in a columnar or scalar
+    median."""
+    batched = (
+        '{"cells": {"mlx/stream/strict": 0.5}, "cpu_count": 4, '
+        '"datapath": "batched", "fast": true, "fastpath_enabled": true, '
+        '"python": "3.11.7", "quick": true, '
+        '"schema": "riommu-repro/bench-history/v2", '
+        '"timestamp": "2026-08-07T00:00:00"}'
+    )
+    path = tmp_path / "history.jsonl"
+    path.write_text((batched + "\n") * 3)
+    columnar = dict(_report(0.07), datapath="columnar")
+    for _ in range(2):
+        append_history(columnar, path)
+    history = load_history(path)
+    assert [report_datapath(entry) for entry in history] == [
+        "batched", "batched", "batched", "columnar", "columnar"
+    ]
+    assert rolling_baseline(history, DEFAULT_CELL, datapath="batched") == 0.5
+    assert rolling_baseline(history, DEFAULT_CELL, datapath="columnar") == 0.07
+    assert rolling_baseline(history, DEFAULT_CELL, datapath="scalar") is None
+    # Mixed in, the batched lines would lift the median to 0.5 and hide
+    # this columnar regression.
+    assert check_history_regression(
+        dict(_report(0.3), datapath="columnar"), history, 0.25
+    ) is not None
+    assert check_history_regression(
+        dict(_report(100.0), datapath="scalar"), history, 0.25
+    ) is None
 
 
 def test_history_entry_carries_the_observe_tier():

@@ -137,7 +137,8 @@ def _arm_path(out_dir: str, arm: str) -> str:
 
 
 def _load_record(path: str, arm: str) -> Optional[Dict]:
-    """A completed arm record from disk, or ``None`` if absent/stale."""
+    """A completed arm record from disk, or ``None`` if absent, unreadable
+    (not a JSON object) or stale."""
     try:
         with open(path) as handle:
             record = json.load(handle)
@@ -145,7 +146,9 @@ def _load_record(path: str, arm: str) -> Optional[Dict]:
         return None
     # The ID embeds the spec content: a record whose ID mismatches its
     # filename is from an older spec of the same name and must re-run.
-    return record if record.get("id") == arm else None
+    if not isinstance(record, dict) or record.get("id") != arm:
+        return None
+    return record
 
 
 def execute_plan(
@@ -481,6 +484,9 @@ def validate_ablation_report(payload: Dict) -> List[str]:
         errors.append("'arms' must be a non-empty map of arm records")
         arms = {}
     for i, row in enumerate(ranking, start=1):
+        if not isinstance(row, dict):
+            errors.append(f"ranking row {i}: not an object")
+            continue
         missing = [key for key in _ROW_KEYS if key not in row]
         if missing:
             errors.append(f"ranking row {i}: missing {missing}")
@@ -498,6 +504,8 @@ def validate_ablation_report(payload: Dict) -> List[str]:
 
 def _arm_errors(arm: str, record: Dict) -> List[str]:
     """Problems in one per-arm evidence record (empty = valid)."""
+    if not isinstance(record, dict):
+        return [f"arm {arm}: record is not an object"]
     missing = [key for key in _ARM_KEYS if key not in record]
     if missing:
         return [f"arm {arm}: missing {missing}"]
@@ -513,9 +521,13 @@ def _arm_errors(arm: str, record: Dict) -> List[str]:
             errors.append(
                 f"arm {arm}: spec content hashes to {spec_id} (stale record?)"
             )
-    bad_audit = [key for key in AUDIT_FIELDS if key not in record["audit"]]
-    if bad_audit:
-        errors.append(f"arm {arm}: audit missing {bad_audit}")
+    audit = record["audit"]
+    if not isinstance(audit, dict):
+        errors.append(f"arm {arm}: audit is not an object")
+    else:
+        bad_audit = [key for key in AUDIT_FIELDS if key not in audit]
+        if bad_audit:
+            errors.append(f"arm {arm}: audit missing {bad_audit}")
     if record["reconciles"] and record["reconcile_delta"] != 0.0:
         errors.append(
             f"arm {arm}: claims reconciliation but delta is "

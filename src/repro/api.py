@@ -14,10 +14,11 @@ Quick start::
     for mode, r in results.items():
         print(mode.label, f"{r.gbps:.1f} Gbps")
 
-All run-shaping knobs (benchmark sizing, datapath build, shards,
-observation, timeline window, tenancy scenario) travel in one frozen
+All per-run knobs (benchmark sizing, shards, observation, timeline
+window, tenancy scenario) travel in one frozen
 :class:`~repro.config.RunConfig`, each mirrored by one ``REPRO_*``
-environment variable (see ``repro.config``).  Every workload runs on
+environment variable (see ``repro.config``); the datapath build is the
+process switch ``repro.datapath.set_datapath`` (``REPRO_DATAPATH``).  Every workload runs on
 the event kernel (:func:`run_events`); DMA mappings go through
 ``map_request``/``unmap_request``.
 

@@ -12,6 +12,8 @@ import sys
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.config import BUILDS
+
 EXPERIMENTS: Dict[str, str] = {
     "table1": "E1: map/unmap cycle breakdown (paper Table 1)",
     "figure7": "E2: cycles per packet by component (paper Figure 7)",
@@ -143,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--datapath",
-        choices=("scalar", "batched", "columnar"),
+        choices=BUILDS,
         default=None,
         help="simulator datapath build (default: $REPRO_DATAPATH, else "
-        "columnar) — scalar is the reference per-event loop, batched "
-        "adds scatter-gather folding, columnar adds the observer-free "
-        "mode-specialized hot loop; all three are bit-identical",
+        "columnar) — scalar is the reference per-event loop, columnar "
+        "the fast paths and observer-free burst loops; both are "
+        "bit-identical",
     )
     parser.add_argument(
         "--shards",

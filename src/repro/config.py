@@ -2,26 +2,30 @@
 
 This module is the single source of truth for how a run is shaped:
 
-* :class:`RunConfig` — a frozen, keyword-only record of every knob:
-  datapath build, intra-run shard count, per-run observation, timeline
-  window width, benchmark sizing (``fast``) and the multi-tenant
-  scenario (:mod:`repro.sim.tenancy`).
+* :class:`RunConfig` — a frozen, keyword-only record of every per-run
+  knob: intra-run shard count, per-run observation, timeline window
+  width, benchmark sizing (``fast``) and the multi-tenant scenario
+  (:mod:`repro.sim.tenancy`).
 * :meth:`RunConfig.from_env` — the one environment reader.  Every
   module that used to parse ``REPRO_*`` itself (datapath, scheduler,
   profile, timeline, the perf harness) now funnels through the parsing
   helpers defined here, so a knob's spelling and semantics live in
   exactly one place.
-* :meth:`RunConfig.to_env` / :meth:`RunConfig.apply` — the one export
-  path: grid worker processes reconstruct an identical config from the
-  environment (``from_env(to_env()) == config``, pinned by test).
+* :meth:`RunConfig.to_env` / :meth:`RunConfig.exported` — the one
+  export path: grid worker processes reconstruct an identical config
+  from the environment (``from_env(to_env()) == config``, pinned by
+  test).
 
-Every knob has exactly one spelling: a ``RunConfig`` field, or its
-``REPRO_*`` variable.  A malformed variable raises a
-:class:`ValueError` naming it rather than falling back to a default.
+The datapath build is a process switch, not a ``RunConfig`` field: its
+one setter is :func:`repro.datapath.set_datapath`, whose wire forms are
+``REPRO_DATAPATH`` and ``--datapath``.  Every other knob has exactly one
+spelling: a ``RunConfig`` field, or its ``REPRO_*`` variable.  A
+malformed variable raises a :class:`ValueError` naming it rather than
+falling back to a default.
 
 This module sits below the rest of the package: it imports nothing
-from ``repro`` at module level (``apply`` and the tenancy parser use
-lazy imports), so ``repro.datapath``, ``repro.sim.scheduler`` and the
+from ``repro`` at module level (the tenancy parser uses a lazy
+import), so ``repro.datapath``, ``repro.sim.scheduler`` and the
 observability modules can all re-export their historical constants
 from it without cycles.
 """
@@ -35,8 +39,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 # -- canonical knob constants (single source of truth) ----------------------
 
-#: The recognised datapath builds, slowest to fastest.
-BUILDS: Tuple[str, ...] = ("scalar", "batched", "columnar")
+#: The recognised datapath builds: the reference oracle, then the fast one.
+BUILDS: Tuple[str, ...] = ("scalar", "columnar")
 
 #: Datapath build used when ``REPRO_DATAPATH`` is unset.
 DEFAULT_BUILD = "columnar"
@@ -61,39 +65,34 @@ TIMELINE_WINDOW_ENV = "REPRO_TIMELINE_WINDOW"
 #: Multi-tenant scenario spec, JSON-serialised (exported to workers).
 TENANCY_ENV = "REPRO_TENANCY"
 
-#: Every canonical environment variable, in presentation order.
-ENV_VARS: Tuple[str, ...] = (
-    DATAPATH_ENV,
+#: The variables a :class:`RunConfig` exports, in presentation order.
+CONFIG_ENV_VARS: Tuple[str, ...] = (
     SHARDS_ENV,
     OBSERVE_ENV,
     TIMELINE_WINDOW_ENV,
     TENANCY_ENV,
 )
 
+#: Every canonical environment variable, in presentation order.
+ENV_VARS: Tuple[str, ...] = (DATAPATH_ENV,) + CONFIG_ENV_VARS
+
 
 # -- knob parsing helpers (the collapsed resolve_* readers) -----------------
 
 
-def resolve_datapath_flags(build: str) -> Tuple[bool, bool, bool]:
-    """Map a build name to the three datapath feature flags.
+def resolve_datapath_flags(build: str, source: str = "") -> bool:
+    """Map a build name to the one datapath flag (True = columnar).
 
-    Columnar layers on both fast paths and staged charging, so every
-    build enables a prefix of (fast, batch, columnar).
+    ``source`` names the setting the build came from, so the error for
+    an unknown build says which one to fix.
     """
     if build not in BUILDS:
+        where = f" in {source}" if source else ""
         raise ValueError(
-            f"unknown datapath build {build!r}: expected one of {', '.join(BUILDS)}"
+            f"unknown datapath build {build!r}{where}: "
+            f"expected one of {', '.join(BUILDS)}"
         )
-    return build != "scalar", build != "scalar", build == "columnar"
-
-
-def datapath_build_name(fast: bool, batch: bool, columnar: bool) -> str:
-    """The build name a set of feature flags corresponds to."""
-    if columnar:
-        return "columnar"
-    if fast or batch:
-        return "batched"
-    return "scalar"
+    return build == "columnar"
 
 
 def datapath_from_env(env: Optional[Mapping[str, str]] = None) -> str:
@@ -101,7 +100,7 @@ def datapath_from_env(env: Optional[Mapping[str, str]] = None) -> str:
     if env is None:
         env = os.environ
     build = env.get(DATAPATH_ENV, DEFAULT_BUILD)
-    resolve_datapath_flags(build)
+    resolve_datapath_flags(build, DATAPATH_ENV)
     return build
 
 
@@ -186,14 +185,18 @@ def timeline_window_from_env(
     if env is None:
         env = os.environ
     raw = env.get(TIMELINE_WINDOW_ENV, "")
-    if raw:
-        try:
-            value = float(raw)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return None
+    if not raw:
+        return None
+    try:
+        value = float(raw)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(
+        f"bad timeline window {raw!r} in {TIMELINE_WINDOW_ENV}: "
+        "expected a positive number of cycles"
+    )
 
 
 def tenancy_from_env(env: Optional[Mapping[str, str]] = None):
@@ -205,7 +208,10 @@ def tenancy_from_env(env: Optional[Mapping[str, str]] = None):
         return None
     from repro.sim.tenancy import ScenarioSpec
 
-    return ScenarioSpec.from_dict(json.loads(raw))
+    try:
+        return ScenarioSpec.from_dict(json.loads(raw))
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"bad scenario in {TENANCY_ENV}: {error!r}") from None
 
 
 # -- the configuration record -----------------------------------------------
@@ -217,16 +223,15 @@ class RunConfig:
 
     ``fast`` shrinks benchmark sizes (it travels with the work item —
     the grid's :data:`~repro.sim.parallel.GridCell` — not the
-    environment).  ``datapath``/``shards``/``observe``/
-    ``timeline_window`` are the four process knobs, each mirrored by one
-    ``REPRO_*`` variable; ``tenancy`` carries an optional
+    environment).  ``shards``/``observe``/``timeline_window`` are the
+    three process knobs, each mirrored by one ``REPRO_*`` variable;
+    ``tenancy`` carries an optional
     :class:`~repro.sim.tenancy.ScenarioSpec` for the multi-tenant
     benchmark.  All fields validate at construction, so a config built
     from a bad environment fails loudly at ``from_env`` time.
     """
 
     fast: bool = False
-    datapath: str = DEFAULT_BUILD
     shards: int = 1
     observe: str = "off"
     timeline_window: Optional[float] = None
@@ -236,11 +241,6 @@ class RunConfig:
         # Booleans normalise to their historical levels, so
         # ``RunConfig(observe=True)`` keeps meaning the full observer.
         object.__setattr__(self, "observe", normalize_observe(self.observe))
-        if self.datapath not in BUILDS:
-            raise ValueError(
-                f"unknown datapath build {self.datapath!r}: "
-                f"expected one of {', '.join(BUILDS)}"
-            )
         object.__setattr__(self, "shards", normalize_shards(self.shards))
         if self.timeline_window is not None and self.timeline_window <= 0:
             raise ValueError("timeline_window must be positive (or None)")
@@ -258,7 +258,6 @@ class RunConfig:
         environment is read.
         """
         config = cls(
-            datapath=datapath_from_env(env),
             shards=shards_from_env(env),
             observe=observe_from_env(env),
             timeline_window=timeline_window_from_env(env),
@@ -278,7 +277,6 @@ class RunConfig:
         are simply absent.
         """
         out = {
-            DATAPATH_ENV: self.datapath,
             SHARDS_ENV: str(self.shards),
             OBSERVE_ENV: self.observe,
         }
@@ -287,25 +285,6 @@ class RunConfig:
         if self.tenancy is not None:
             out[TENANCY_ENV] = json.dumps(self.tenancy.to_dict(), sort_keys=True)
         return out
-
-    def apply(self) -> "RunConfig":
-        """Make this config the ambient process configuration.
-
-        Switches the live datapath build (re-poking consumer-module
-        flags via :func:`repro.datapath.set_datapath`), exports every
-        canonical variable for worker processes, and removes the
-        optional variables this config leaves unset.  Returns ``self``
-        for chaining.
-        """
-        from repro import datapath
-
-        datapath.set_datapath(self.datapath)
-        os.environ.update(self.to_env())
-        if self.timeline_window is None:
-            os.environ.pop(TIMELINE_WINDOW_ENV, None)
-        if self.tenancy is None:
-            os.environ.pop(TENANCY_ENV, None)
-        return self
 
     class _Exported:
         """Context manager restoring the environment after an export."""
@@ -316,7 +295,7 @@ class RunConfig:
 
         def __enter__(self) -> "RunConfig":
             exported = self._config.to_env()
-            for name in ENV_VARS:
+            for name in CONFIG_ENV_VARS:
                 self._saved[name] = os.environ.get(name)
                 if name in exported:
                     os.environ[name] = exported[name]
@@ -336,6 +315,8 @@ class RunConfig:
 
         What the grid runner wraps its worker fan-out in: every worker
         process inherits exactly this config's environment, and the
-        parent's is put back afterwards.
+        parent's is put back afterwards.  ``REPRO_DATAPATH`` is left
+        alone: :func:`repro.datapath.set_datapath` already exported the
+        parent's build.
         """
         return RunConfig._Exported(self)

@@ -34,16 +34,6 @@ from repro.memory.address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_offset
 from repro.memory.physical import MemorySystem
 from repro.obs.tracer import TRACE
 
-#: Single-page translation fast path + per-burst memo (identical model
-#: cycles, less Python overhead).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-FASTPATH_ENABLED = _datapath.FASTPATH_ENABLED
-
-#: Scatter-gather bulk datapath (batched translation + bulk copies —
-#: identical model cycles and fault behaviour, fewer Python dispatches).
-#: Governed by ``REPRO_DATAPATH``; parity tests also toggle this.
-BATCH_ENABLED = _datapath.BATCH_ENABLED
-
 
 class TranslationBackend(abc.ABC):
     """Maps a device-visible address range to physical ranges."""
@@ -104,14 +94,15 @@ class IommuBackend(TranslationBackend):
     def translate_range(
         self, bdf: int, addr: int, size: int, direction: DmaDirection
     ) -> List[Tuple[int, int]]:
+        columnar = _datapath.COLUMNAR_ENABLED
         translate = (
             self._translate_memo
-            if FASTPATH_ENABLED and self.memo_enabled
+            if columnar and self.memo_enabled
             else self.iommu.translate
         )
         # Fast path: the access stays within one page — one translation,
         # no chunk bookkeeping.  Byte-identical to the loop below.
-        if FASTPATH_ENABLED and 0 < size <= PAGE_SIZE - page_offset(addr):
+        if columnar and 0 < size <= PAGE_SIZE - page_offset(addr):
             return [(translate(bdf, addr, direction), size)]
         ranges: List[Tuple[int, int]] = []
         pos = 0
@@ -132,13 +123,12 @@ class IommuBackend(TranslationBackend):
         raise at the exact faulting page — but the per-page Python
         dispatch through ``translate``/``translate_range`` is inlined,
         and pages that resolve to adjacent frames are merged into one
-        extent for the bulk copy layer.
+        extent for the bulk copy layer.  Only the columnar build's bulk
+        paths call it.
         """
-        if not BATCH_ENABLED:
-            return self.translate_range(bdf, addr, size, direction)
         iommu = self.iommu
         memo = None
-        if FASTPATH_ENABLED and self.memo_enabled:
+        if self.memo_enabled:
             token = (iommu.epoch, iommu.iotlb.generation)
             if token != self._memo_token:
                 self._memo.clear()
@@ -375,7 +365,7 @@ class DmaBus:
             raise ValueError("size must be positive")
         if TRACE.active:
             TRACE.emit("dma_read", bdf=bdf, addr=addr, size=size)
-        if BATCH_ENABLED:
+        if _datapath.COLUMNAR_ENABLED:
             data = self.mem.ram.read_bulk(
                 self.backend.translate_sg(bdf, addr, size, DmaDirection.TO_DEVICE)
             )
@@ -396,7 +386,7 @@ class DmaBus:
             raise ValueError("data must be non-empty")
         if TRACE.active:
             TRACE.emit("dma_write", bdf=bdf, addr=addr, size=len(data))
-        if BATCH_ENABLED:
+        if _datapath.COLUMNAR_ENABLED:
             # Translate the whole access first (faults before any byte
             # lands, as the scalar path's eager translate_range does),
             # then copy every extent in one bulk call.
@@ -425,7 +415,7 @@ class DmaBus:
         per-segment stats, same fault points (segment ``i`` translates
         fully before segment ``i+1`` is touched) — in one call.
         """
-        if not BATCH_ENABLED:
+        if not _datapath.COLUMNAR_ENABLED:
             return b"".join(self.dma_read(bdf, addr, size) for addr, size in segments)
         backend = self.backend
         ram = self.mem.ram
@@ -452,7 +442,7 @@ class DmaBus:
         translated in full before its bytes land, so a fault leaves
         exactly the earlier segments written — the scalar behaviour.
         """
-        if not BATCH_ENABLED:
+        if not _datapath.COLUMNAR_ENABLED:
             for addr, chunk in parts:
                 self.dma_write(bdf, addr, chunk)
             return

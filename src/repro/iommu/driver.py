@@ -43,7 +43,6 @@ from repro.modes import Mode
 from repro.obs.tracer import TRACE
 from repro.perf.costs import CostModel, CostPolicy
 from repro.perf.cycles import Component, CycleAccount
-import repro.perf.cycles as perf_cycles
 
 #: default IOVA space limit: the 32-bit DMA boundary, in pages.
 DMA_32BIT_PFN = (1 << 32) >> 12
@@ -176,7 +175,6 @@ class BaselineIommuDriver:
             and not TRACE.active
             and self.map_hook is None
             and self._staged_costs is not None
-            and perf_cycles.BATCH_ENABLED
         ):
             return self._map_fast(phys_addr, size, direction)
         if size <= 0:
@@ -188,7 +186,7 @@ class BaselineIommuDriver:
         # Step 3: IOVA allocation.
         rng = self.allocator.alloc(pages)
         account = self.account
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
+        costs = self._staged_costs if _datapath.COLUMNAR_ENABLED else None
         if costs is None:
             stats = self.allocator.stats
             cache_hit = (
@@ -293,7 +291,7 @@ class BaselineIommuDriver:
         # Step: find the IOVA in the allocator's tree.
         rng = self.allocator.find(pfn)
         account = self.account
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
+        costs = self._staged_costs if _datapath.COLUMNAR_ENABLED else None
         if costs is None:
             account.charge(
                 Component.IOVA_FIND,
@@ -404,12 +402,12 @@ class BaselineIommuDriver:
         UNMAP_PAGE_TABLE charges are run-length encoded so the staged
         folds match the scalar sequence exactly.
         """
-        costs = self._staged_costs if perf_cycles.BATCH_ENABLED else None
+        costs = self._staged_costs
         if (
-            costs is None
+            not _datapath.COLUMNAR_ENABLED
+            or costs is None
             or self.unmap_hook is not None
             or TRACE.active
-            or not _datapath.COLUMNAR_ENABLED
         ):
             return [
                 self.unmap_request(UnmapRequest(device_addr=addr)).phys_addr

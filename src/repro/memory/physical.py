@@ -21,11 +21,6 @@ from repro.memory.address import (
     page_offset,
 )
 
-#: Single-frame read/write fast paths (identical semantics, less Python
-#: overhead).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-FASTPATH_ENABLED = _datapath.FASTPATH_ENABLED
-
 
 class OutOfMemoryError(RuntimeError):
     """The frame allocator has no free frames left."""
@@ -72,7 +67,7 @@ class PhysicalMemory:
         # ``_check_range`` (anything they reject falls through and gets
         # the canonical error from the slow path).
         if (
-            FASTPATH_ENABLED
+            _datapath.COLUMNAR_ENABLED
             and type(addr) is int
             and 0 <= addr
             and 0 < size
@@ -104,7 +99,7 @@ class PhysicalMemory:
         """Read ``size`` bytes starting at physical address ``addr``."""
         # Fast path: single-frame access (see ``write``).
         if (
-            FASTPATH_ENABLED
+            _datapath.COLUMNAR_ENABLED
             and type(addr) is int
             and type(size) is int
             and 0 <= addr
@@ -135,7 +130,7 @@ class PhysicalMemory:
         # Dedicated fast path: PTE/descriptor stores are the hottest
         # writes in the simulator, worth skipping one call layer.
         if (
-            FASTPATH_ENABLED
+            _datapath.COLUMNAR_ENABLED
             and type(addr) is int
             and 0 <= addr
             and (addr & PAGE_MASK) <= PAGE_SIZE - 8
@@ -154,7 +149,7 @@ class PhysicalMemory:
     def read_u64(self, addr: int) -> int:
         """Read a little-endian 64-bit value at ``addr``."""
         if (
-            FASTPATH_ENABLED
+            _datapath.COLUMNAR_ENABLED
             and type(addr) is int
             and 0 <= addr
             and (addr & PAGE_MASK) <= PAGE_SIZE - 8
@@ -180,7 +175,7 @@ class PhysicalMemory:
         extents = list(extents)
         # Fast path: one single-frame extent (most descriptor fetches and
         # sub-page packet buffers) — one dict probe, one slice.
-        if FASTPATH_ENABLED and len(extents) == 1:
+        if _datapath.COLUMNAR_ENABLED and len(extents) == 1:
             addr, size = extents[0]
             if (
                 type(addr) is int
@@ -240,7 +235,7 @@ class PhysicalMemory:
         """
         extents = list(extents)
         # Fast path: one single-frame extent covering all of ``data``.
-        if FASTPATH_ENABLED and len(extents) == 1:
+        if _datapath.COLUMNAR_ENABLED and len(extents) == 1:
             addr, size = extents[0]
             if (
                 type(addr) is int
@@ -491,7 +486,7 @@ class MemorySystem:
         Exhaustion falls through to the slow path for the canonical
         :class:`OutOfMemoryError`.
         """
-        if FASTPATH_ENABLED and pin and 0 < size <= PAGE_SIZE:
+        if _datapath.COLUMNAR_ENABLED and pin and 0 < size <= PAGE_SIZE:
             allocator = self.allocator
             free = allocator._free
             if free:
@@ -521,7 +516,7 @@ class MemorySystem:
         ``ValueError`` is raised — uses the generic path.
         """
         if (
-            FASTPATH_ENABLED
+            _datapath.COLUMNAR_ENABLED
             and type(addr) is int
             and 0 < size <= PAGE_SIZE
             and addr >= 0

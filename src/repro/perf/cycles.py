@@ -28,11 +28,6 @@ from repro import datapath as _datapath
 from repro.obs.lite import LITE
 from repro.obs.tracer import TRACE
 
-#: Counter-based charge staging (identical model cycles, fewer Python
-#: dict operations per burst).  Governed by ``REPRO_DATAPATH`` (see
-#: :mod:`repro.datapath`); parity tests also toggle this at runtime.
-BATCH_ENABLED = _datapath.BATCH_ENABLED
-
 #: Largest magnitude at which float addition of integers is exact, so a
 #: fold ``total += cycles * n`` is bit-identical to ``n`` repeated adds.
 _EXACT_LIMIT = float(1 << 53)
@@ -237,10 +232,10 @@ class CycleAccount:
         """Stage one charge, coalescing repeats into a counter.
 
         Observably identical to :meth:`charge`; the fold happens at the
-        next read (or differing charge) of the component.  With batching
-        disabled this *is* :meth:`charge`.
+        next read (or differing charge) of the component.  Under the
+        scalar build this *is* :meth:`charge`.
         """
-        if not BATCH_ENABLED:
+        if not _datapath.COLUMNAR_ENABLED:
             self.charge(component, cycles, events)
             return
         staged = self._staged
@@ -276,7 +271,7 @@ class CycleAccount:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        if not BATCH_ENABLED:
+        if not _datapath.COLUMNAR_ENABLED:
             for _ in range(count):
                 self.charge(component, cycles, events)
             return

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
-from repro.config import BUILDS, DEFAULT_BUILD, RunConfig
+from repro.config import DEFAULT_BUILD, RunConfig, resolve_datapath_flags
 from repro.modes import Mode
 
 #: Schema tag carried by each persisted per-arm evidence record.
@@ -77,11 +77,7 @@ class ArmSpec:
 
     def __post_init__(self) -> None:
         Mode(self.mode)  # raises on unknown labels, like RunConfig does
-        if self.datapath not in BUILDS:
-            raise ValueError(
-                f"unknown datapath build {self.datapath!r}: "
-                f"expected one of {', '.join(BUILDS)}"
-            )
+        resolve_datapath_flags(self.datapath)
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-plain form (the content that is hashed)."""
@@ -179,22 +175,13 @@ register_component(
 )
 register_component(
     ComponentSpec(
-        name="columnar",
-        description="struct-of-arrays columnar burst loops (wall-clock "
-        "build; modelled numbers are parity-pinned identical)",
-        present={"datapath": "columnar"},
-        removed={"datapath": "batched"},
-        reference="docs/performance.md: the columnar datapath build",
-    )
-)
-register_component(
-    ComponentSpec(
         name="fastpath",
-        description="single-page fast paths + staged batch charging "
-        "(wall-clock build; modelled numbers are parity-pinned identical)",
-        present={"datapath": "batched"},
+        description="columnar build: fast paths, staged charging and "
+        "struct-of-arrays burst loops (wall-clock build; modelled numbers "
+        "are parity-pinned identical)",
+        present={},
         removed={"datapath": "scalar"},
-        reference="docs/performance.md: the batched datapath build",
+        reference="docs/performance.md: the columnar datapath build",
     )
 )
 register_component(
@@ -321,9 +308,9 @@ def run_arm(payload: Dict[str, object]) -> Dict[str, object]:
     previous_build = datapath.current_build()
     datapath.set_datapath(spec.datapath)
     try:
-        lite_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="lite")
+        lite_config = RunConfig(fast=spec.fast, observe="lite")
         lite = run_prepared(_instantiate(spec, mode), setup, mode, lite_config)
-        full_config = RunConfig(fast=spec.fast, datapath=spec.datapath, observe="full")
+        full_config = RunConfig(fast=spec.fast, observe="full")
         full = run_prepared(_instantiate(spec, mode), setup, mode, full_config)
     finally:
         datapath.set_datapath(previous_build)

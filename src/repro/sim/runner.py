@@ -58,9 +58,9 @@ def run_benchmark(
     """Run one benchmark under one mode on one setup.
 
     All run-shaping knobs travel in ``config`` — one frozen
-    :class:`~repro.config.RunConfig` record (benchmark sizing, datapath
-    build, shard count, observation, timeline window, tenancy
-    scenario); see :func:`_resolve_config` for ``config=None`` and the
+    :class:`~repro.config.RunConfig` record (benchmark sizing, shard
+    count, observation, timeline window, tenancy scenario; the datapath
+    build is the process switch :func:`repro.datapath.set_datapath`); see :func:`_resolve_config` for ``config=None`` and the
     ``observe`` override.
 
     ``config.observe="full"`` attaches a
@@ -215,8 +215,10 @@ def run_figure12(
     Every other knob rides in ``config``: for the duration of the grid
     the config is exported to the environment
     (:meth:`RunConfig.exported`), so worker processes reconstruct it
-    bit-identically via ``RunConfig.from_env()`` — observation,
-    shards and the datapath build all reach every cell.
+    bit-identically via ``RunConfig.from_env()`` — observation and
+    shards reach every cell, and the datapath build rides the
+    ``REPRO_DATAPATH`` export :func:`repro.datapath.set_datapath`
+    already made.
 
     When the process-local tracer is recording the grid runs serially
     regardless of ``jobs``: events emitted inside worker processes

@@ -12,8 +12,11 @@ import json
 
 import pytest
 
+from repro import datapath
 from repro.analysis.ablate import (
     AblationReport,
+    _arm_path,
+    _load_record,
     build_plan,
     build_report,
     execute_plan,
@@ -22,6 +25,7 @@ from repro.analysis.ablate import (
     validate_ablation_arm,
     validate_ablation_report,
 )
+from repro.config import DATAPATH_ENV, datapath_from_env
 from repro.sim.components import COMPONENTS, ArmSpec, arm_id, run_arm
 
 #: Small registry subset used by the executing tests: four distinct
@@ -128,6 +132,28 @@ def test_stale_record_is_re_run(small_plan, executed, tmp_path):
     assert records == executed
 
 
+def test_non_object_record_is_re_run(small_plan, executed, tmp_path, monkeypatch):
+    out = tmp_path / "arms"
+    out.mkdir()
+    arms = list(executed)
+    for arm, record in executed.items():
+        (out / f"arm-{arm}.json").write_text(json.dumps(record))
+    # Valid JSON that is not an object: unusable, so the arm re-runs.
+    (out / f"arm-{arms[0]}.json").write_text("[1, 2]")
+    assert _load_record(_arm_path(str(out), arms[0]), arms[0]) is None
+
+    reran = []
+
+    def replay(payload):
+        arm = arm_id(ArmSpec.from_dict(payload))
+        reran.append(arm)
+        return executed[arm]
+
+    monkeypatch.setattr("repro.analysis.ablate.run_arm", replay)
+    assert execute_plan(small_plan, str(out)) == executed
+    assert reran == [arms[0]]
+
+
 def test_serial_and_parallel_reports_bit_identical(small_plan, tmp_path):
     serial = execute_plan(small_plan, str(tmp_path / "serial"), jobs=None)
     parallel = execute_plan(small_plan, str(tmp_path / "parallel"), jobs=2)
@@ -230,6 +256,39 @@ def test_obs_validate_dispatches_ablation_schemas(
 
 
 # -- worker + CLI ----------------------------------------------------------
+
+
+def test_datapath_component_arms_are_identical():
+    """The one datapath component toggles columnar against scalar, and
+    both arms give the same modelled evidence."""
+    datapath_components = [
+        name
+        for name, component in COMPONENTS.items()
+        if "datapath" in component.present or "datapath" in component.removed
+    ]
+    assert datapath_components == ["fastpath"]
+    component = COMPONENTS["fastpath"]
+    base = ArmSpec(fast=True)
+    present = base.with_overrides(component.present)
+    removed = base.with_overrides(component.removed)
+    assert (present.datapath, removed.datapath) == ("columnar", "scalar")
+    columnar = run_arm(present.to_dict())
+    scalar = run_arm(removed.to_dict())
+    for key in ("throughput", "cycles_total", "attribution", "audit"):
+        assert columnar[key] == scalar[key], key
+
+
+def test_batched_build_is_gone():
+    before = datapath.current_build()
+    with pytest.raises(ValueError, match="expected one of scalar, columnar"):
+        datapath.set_datapath("batched")
+    assert datapath.current_build() == before
+    with pytest.raises(
+        ValueError, match=f"in {DATAPATH_ENV}: expected one of scalar, columnar"
+    ):
+        datapath_from_env({DATAPATH_ENV: "batched"})
+    with pytest.raises(ValueError, match="expected one of scalar, columnar"):
+        ArmSpec(datapath="batched")
 
 
 def test_run_arm_restores_datapath_build():

@@ -1,14 +1,14 @@
-"""The scatter-gather batched datapath must be observably invisible.
+"""The scatter-gather bulk datapath must be observably invisible.
 
 ``repro.devices.dma`` gates the bulk translate/copy paths and
 ``repro.perf.cycles`` gates the staged (counter-based) charge
-accumulator behind module-global ``BATCH_ENABLED`` flags (cleared by
-``REPRO_DISABLE_BATCH`` at import time).  These tests run identical
-operation sequences with the flags on and off and assert that every
-observable — returned bytes, physical memory contents, DMA/IOTLB/
-translation statistics, cycle accounts (bit-for-bit), and faults,
-including *where* a fault lands — is unchanged.  The batch paths may
-only change wall-clock time, never a modelled number.
+accumulator behind the one datapath flag,
+``repro.datapath.COLUMNAR_ENABLED``.  These tests run identical
+operation sequences under the scalar and columnar builds and assert
+that every observable — returned bytes, physical memory contents,
+DMA/IOTLB/translation statistics, cycle accounts (bit-for-bit), and
+faults, including *where* a fault lands — is unchanged.  The bulk paths
+may only change wall-clock time, never a modelled number.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.devices.dma as dma_mod
-import repro.perf.cycles as cycles_mod
+from repro import datapath
 from repro.config import RunConfig
 from repro.devices.dma import DmaBus, IommuBackend
 from repro.dma import DmaDirection
@@ -34,27 +33,8 @@ from tests.dma_helpers import dma_map, dma_unmap
 BDF = 0x0300
 
 
-def _set_batch(enabled: bool) -> None:
-    dma_mod.BATCH_ENABLED = enabled
-    cycles_mod.BATCH_ENABLED = enabled
-
-
-@pytest.fixture(autouse=True, scope="module")
-def restore_batch():
-    """Restore the batch flags however a test leaves them.
-
-    Module-scoped (not per-test) so hypothesis-driven tests can use it
-    without tripping the function-scoped-fixture health check; every
-    test here sets the flags explicitly before each arm anyway.
-    """
-    old = (dma_mod.BATCH_ENABLED, cycles_mod.BATCH_ENABLED)
-    yield
-    dma_mod.BATCH_ENABLED, cycles_mod.BATCH_ENABLED = old
-
-
 def test_batch_flag_defaults_on():
-    assert dma_mod.BATCH_ENABLED
-    assert cycles_mod.BATCH_ENABLED
+    assert datapath.COLUMNAR_ENABLED
 
 
 # -- randomised burst layouts -------------------------------------------------
@@ -131,19 +111,18 @@ def _run_scenario(mode, buf_sizes, ops):
 
 @settings(max_examples=20, deadline=None)
 @given(buf_sizes=_buf_sizes, ops=_ops)
-def test_random_bursts_identical(buf_sizes, ops):
+def test_random_bursts_identical(scalar_build, buf_sizes, ops):
     """Random burst layouts (unaligned starts, multi-page spans) match.
 
     Bytes moved, physical memory touched, every statistic, and the
     cycle account must be bit-for-bit identical between the scalar and
-    batched arms, under both a strict and a deferred driver.
+    columnar arms, under both a strict and a deferred driver.
     """
     for mode in (Mode.STRICT, Mode.DEFER):
-        _set_batch(False)
-        scalar = _run_scenario(mode, buf_sizes, ops)
-        _set_batch(True)
-        batched = _run_scenario(mode, buf_sizes, ops)
-        assert scalar == batched
+        with scalar_build():
+            scalar = _run_scenario(mode, buf_sizes, ops)
+        columnar = _run_scenario(mode, buf_sizes, ops)
+        assert scalar == columnar
 
 
 @settings(max_examples=20, deadline=None)
@@ -152,7 +131,9 @@ def test_random_bursts_identical(buf_sizes, ops):
     overshoot=st.integers(min_value=1, max_value=PAGE_SIZE + 13),
     is_write=st.booleans(),
 )
-def test_fault_crossing_unmapped_hole_identical(size, overshoot, is_write):
+def test_fault_crossing_unmapped_hole_identical(
+    scalar_build, size, overshoot, is_write
+):
     """An access running past the mapping faults identically in both arms.
 
     The first allocation sits at the *top* of the IOVA space (the
@@ -164,8 +145,7 @@ def test_fault_crossing_unmapped_hole_identical(size, overshoot, is_write):
     memory untouched by the faulting access.
     """
 
-    def run(enabled):
-        _set_batch(enabled)
+    def run():
         mem = MemorySystem(size_bytes=1 << 24)
         iommu = Iommu(mem)
         driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
@@ -190,10 +170,12 @@ def test_fault_crossing_unmapped_hole_identical(size, overshoot, is_write):
             "cycles": dict(driver.account.cycles),
         }
 
-    assert run(False) == run(True)
+    with scalar_build():
+        scalar = run()
+    assert scalar == run()
 
 
-def test_partial_scatter_before_fault_identical():
+def test_partial_scatter_before_fault_identical(scalar_build):
     """dma_write_sg: segments before a faulting segment land identically.
 
     Segment-level fault semantics are scalar: each part translates in
@@ -201,8 +183,7 @@ def test_partial_scatter_before_fault_identical():
     0..N-1 written and N.. untouched — in both arms.
     """
 
-    def run(enabled):
-        _set_batch(enabled)
+    def run():
         mem = MemorySystem(size_bytes=1 << 24)
         iommu = Iommu(mem)
         driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
@@ -226,9 +207,9 @@ def test_partial_scatter_before_fault_identical():
             "bus": vars(bus.stats).copy(),
         }
 
-    scalar = run(False)
-    batched = run(True)
-    assert scalar == batched
+    with scalar_build():
+        scalar = run()
+    assert scalar == run()
     assert scalar["b"] == b"\x11" * 100  # first segment landed
     assert scalar["a"] == b"\x00" * 4  # faulting segment did not
 
@@ -243,15 +224,13 @@ def _cell(mode, benchmark):
 
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.DEFER, Mode.RIOMMU])
 @pytest.mark.parametrize("bench", ["stream", "rr"])
-def test_cell_results_identical_without_batch(mode, bench):
-    """Whole benchmark cells are identical with the batch paths off.
+def test_cell_results_identical_without_batch(scalar_build, mode, bench):
+    """Whole benchmark cells are identical under the scalar build.
 
     Covers the staged cycle accounting in both drivers (baseline and
     rIOMMU), the SG device datapaths (NIC gather/scatter), and the
     per-packet averages the figures are built from.
     """
-    _set_batch(False)
-    scalar = _cell(mode, bench)
-    _set_batch(True)
-    batched = _cell(mode, bench)
-    assert scalar == batched
+    with scalar_build():
+        scalar = _cell(mode, bench)
+    assert scalar == _cell(mode, bench)

@@ -1,4 +1,4 @@
-"""Datapath-build parity matrix: scalar == batched == columnar, bit-exactly.
+"""Datapath-build parity matrix: scalar == columnar, bit-exactly.
 
 The columnar tentpole's contract: every figure-12 mode, under every
 datapath build, with observers on or off, produces bit-identical
@@ -39,27 +39,25 @@ def _run(mode, build, observe):
     return run_benchmark(MLX_SETUP, mode, "rr", config=FAST, observe=observe)
 
 
-# -- the matrix: every mode x every build x observers on/off -------------
+# -- the matrix: every mode x both builds x observers on/off -------------
 
 
 @pytest.mark.parametrize("observe", [False, True], ids=["observe-off", "observe-on"])
 @pytest.mark.parametrize("mode", ALL_MODES, ids=[m.label for m in ALL_MODES])
 def test_parity_matrix(mode, observe):
     reference = _run(mode, "scalar", observe)
-    ref_dict = reference.to_dict()
-    for build in ("batched", "columnar"):
-        result = _run(mode, build, observe)
-        assert result.cycles_total == reference.cycles_total, build
-        assert result.to_dict() == ref_dict, build
-        if observe:
-            # The whole observability summary — profiler attribution,
-            # metrics snapshot, audit — is build-invariant too.
-            assert result.obs == reference.obs, build
-            assert result.obs["profile"]["reconciles"] is True, build
-            assert result.obs["profile"]["reconcile_delta"] == 0.0, build
-            assert result.obs["profile"]["total_cycles"] == result.cycles_total, build
-        else:
-            assert result.obs is None, build
+    result = _run(mode, "columnar", observe)
+    assert result.cycles_total == reference.cycles_total
+    assert result.to_dict() == reference.to_dict()
+    if observe:
+        # The whole observability summary — profiler attribution,
+        # metrics snapshot, audit — is build-invariant too.
+        assert result.obs == reference.obs
+        assert result.obs["profile"]["reconciles"] is True
+        assert result.obs["profile"]["reconcile_delta"] == 0.0
+        assert result.obs["profile"]["total_cycles"] == result.cycles_total
+    else:
+        assert result.obs is None
 
 
 # -- observer-on reconciliation is exact under the columnar build --------

@@ -2,17 +2,15 @@
 
 ``repro.memory.physical`` and ``repro.devices.dma`` gate their
 single-page fast paths and the per-burst translation memo behind the
-module-global ``FASTPATH_ENABLED`` (cleared by the
-``REPRO_DISABLE_FASTPATH`` environment variable at import time).  These
-tests monkeypatch the flag off and check that simulation results,
-memory semantics, and error behaviour are bit-for-bit unchanged —
-the fast paths may only change wall-clock time, never a modelled number.
+one datapath flag, ``repro.datapath.COLUMNAR_ENABLED``.  These tests
+run under the scalar build and check that simulation results, memory
+semantics, and error behaviour are bit-for-bit unchanged — the fast
+paths may only change wall-clock time, never a modelled number.
 """
 
 import pytest
 
-import repro.devices.dma as dma_mod
-import repro.memory.physical as physical_mod
+from repro import datapath
 from repro.config import RunConfig
 from repro.memory import MemorySystem, PAGE_SIZE, PhysicalMemory
 from repro.modes import Mode
@@ -22,65 +20,44 @@ from repro.sim.setups import MLX_SETUP
 FAST = RunConfig(fast=True)
 
 
-@pytest.fixture
-def no_fastpath(monkeypatch):
-    monkeypatch.setattr(physical_mod, "FASTPATH_ENABLED", False)
-    monkeypatch.setattr(dma_mod, "FASTPATH_ENABLED", False)
-
-
 def _cell(setup=MLX_SETUP, mode=Mode.STRICT, benchmark="stream"):
     return run_benchmark(setup, mode, benchmark, config=FAST).to_dict()
 
 
 def test_fastpath_flag_defaults_on():
-    assert physical_mod.FASTPATH_ENABLED
-    assert dma_mod.FASTPATH_ENABLED
+    assert datapath.COLUMNAR_ENABLED
 
 
 @pytest.mark.parametrize("bench", ["stream", "rr", "memcached"])
 @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.RIOMMU, Mode.DEFER])
-def test_cell_results_identical_without_fastpath(no_fastpath, bench, mode):
+def test_cell_results_identical_without_fastpath(scalar_build, bench, mode):
     """Slow-path RunResults equal the fast-path ones for every field."""
-    slow = _cell(mode=mode, benchmark=bench)
-    # Re-enable inside the same process for the comparison arm.
-    physical_mod.FASTPATH_ENABLED = True
-    dma_mod.FASTPATH_ENABLED = True
-    try:
-        fast = _cell(mode=mode, benchmark=bench)
-    finally:
-        physical_mod.FASTPATH_ENABLED = False
-        dma_mod.FASTPATH_ENABLED = False
-    assert slow == fast
+    with scalar_build():
+        slow = _cell(mode=mode, benchmark=bench)
+    assert slow == _cell(mode=mode, benchmark=bench)
 
 
-def test_mode_sweep_identical_without_fastpath(no_fastpath):
+def test_mode_sweep_identical_without_fastpath(scalar_build):
     """A whole Figure 12 panel is unchanged, including mode ordering."""
-    slow = run_mode_sweep(
-        MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), config=FAST
-    )
-    physical_mod.FASTPATH_ENABLED = True
-    dma_mod.FASTPATH_ENABLED = True
-    try:
-        fast = run_mode_sweep(
-            MLX_SETUP, "rr", modes=(Mode.NONE, Mode.STRICT, Mode.RIOMMU), config=FAST
-        )
-    finally:
-        physical_mod.FASTPATH_ENABLED = False
-        dma_mod.FASTPATH_ENABLED = False
+    modes = (Mode.NONE, Mode.STRICT, Mode.RIOMMU)
+    with scalar_build():
+        slow = run_mode_sweep(MLX_SETUP, "rr", modes=modes, config=FAST)
+    fast = run_mode_sweep(MLX_SETUP, "rr", modes=modes, config=FAST)
     assert list(slow) == list(fast)
     for mode in slow:
         assert slow[mode].to_dict() == fast[mode].to_dict()
 
 
-def test_memory_roundtrip_identical_without_fastpath(no_fastpath):
+def test_memory_roundtrip_identical_without_fastpath(scalar_build):
     """Byte-level memory semantics are the slow path's, exactly."""
-    mem = PhysicalMemory(size_bytes=1 << 20)
-    mem.write(PAGE_SIZE - 4, b"spanning!")  # crosses a page: slow path
-    mem.write(0x2000, b"single page")  # would be fast path when enabled
-    assert mem.read(PAGE_SIZE - 4, 9) == b"spanning!"
-    assert mem.read(0x2000, 11) == b"single page"
-    mem.write_u64(0x3000, 0x1122334455667788)
-    assert mem.read_u64(0x3000) == 0x1122334455667788
+    with scalar_build():
+        mem = PhysicalMemory(size_bytes=1 << 20)
+        mem.write(PAGE_SIZE - 4, b"spanning!")  # crosses a page: slow path
+        mem.write(0x2000, b"single page")  # would be fast path when enabled
+        assert mem.read(PAGE_SIZE - 4, 9) == b"spanning!"
+        assert mem.read(0x2000, 11) == b"single page"
+        mem.write_u64(0x3000, 0x1122334455667788)
+        assert mem.read_u64(0x3000) == 0x1122334455667788
 
 
 def test_fastpath_rejects_same_inputs_as_slow_path():
@@ -100,22 +77,16 @@ def test_fastpath_rejects_same_inputs_as_slow_path():
         mem.read(1.5, 4)
 
 
-def test_translation_memo_invalidated_by_detach(no_fastpath):
+def test_translation_memo_invalidated_by_detach(scalar_build):
     """Memo parity holds across attach/detach (epoch) invalidation.
 
     Runs the rr cell, whose driver attaches and detaches buffers
     constantly, under DEFER (deferred invalidation is the riskiest
     regime for a stale memo) with the memo on and off.
     """
-    slow = _cell(mode=Mode.DEFER, benchmark="rr")
-    physical_mod.FASTPATH_ENABLED = True
-    dma_mod.FASTPATH_ENABLED = True
-    try:
-        fast = _cell(mode=Mode.DEFER, benchmark="rr")
-    finally:
-        physical_mod.FASTPATH_ENABLED = False
-        dma_mod.FASTPATH_ENABLED = False
-    assert slow == fast
+    with scalar_build():
+        slow = _cell(mode=Mode.DEFER, benchmark="rr")
+    assert slow == _cell(mode=Mode.DEFER, benchmark="rr")
 
 
 def test_memo_is_opt_in():

@@ -274,3 +274,58 @@ def test_directory_scan_ends_with_a_tally(telemetry_path, tmp_path, capsys):
     # Explicit file arguments keep the terse historical output: no tally.
     assert main([str(telemetry_path)]) == 0
     assert "ok /" not in capsys.readouterr().out
+
+
+def _arm_record(**changes):
+    """A well-formed ``ablation-arm/v1`` record, with ``changes`` applied."""
+    from repro.sim.components import ARM_SCHEMA, ArmSpec, arm_id
+
+    spec = ArmSpec(fast=True)
+    record = {
+        "schema": ARM_SCHEMA,
+        "id": arm_id(spec),
+        "spec": spec.to_dict(),
+        "packets": 10,
+        "throughput": 1.0,
+        "cycles_total": 100.0,
+        "cycles_per_packet": 10.0,
+        "attribution": {},
+        "attributed_cycles": 100.0,
+        "reconcile_delta": 0.0,
+        "reconciles": True,
+        "audit": {},
+        "passes_agree": True,
+    }
+    record.update(changes)
+    return record
+
+
+def test_arm_record_with_null_audit_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "arm.json"
+    path.write_text(json.dumps(_arm_record(audit=None)))
+    assert main([str(path)]) == 1
+    assert "audit is not an object" in capsys.readouterr().out
+
+
+def test_report_with_non_object_row_and_arm_is_a_validation_error(
+    tmp_path, capsys
+):
+    from repro.analysis.ablate import ABLATION_SCHEMA
+
+    path = tmp_path / "report.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema": ABLATION_SCHEMA,
+                "baseline_id": "x",
+                "noise_floor": 0.0,
+                "ranking": [3],
+                "arms": {"x": None},
+                "passed": True,
+            }
+        )
+    )
+    assert main([str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "ranking row 1: not an object" in out
+    assert "arm x: record is not an object" in out

@@ -123,7 +123,7 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     # monkeypatch registers restores for every name before the sets.
     for name in names:
         monkeypatch.delenv(name, raising=False)
-    datapath.set_datapath("batched")
+    datapath.set_datapath("scalar")
     scheduler.set_shards(3)
     monkeypatch.setenv(OBSERVE_ENV, "1")
     try:
@@ -133,7 +133,7 @@ def test_knob_env_exports_reach_worker_processes(monkeypatch):
     finally:
         datapath.set_datapath(datapath.DEFAULT_BUILD)
     for probe in probes:
-        assert probe[datapath.ENV_VAR] == "batched"
+        assert probe[datapath.ENV_VAR] == "scalar"
         assert probe[OBSERVE_ENV] == "1"
         assert probe[scheduler.SHARDS_ENV] == "3"
         assert probe["_pid"]

@@ -7,8 +7,11 @@ processes reconstruct the parent's config bit-identically from the
 exported environment.
 """
 
+import json
+import multiprocessing
 import os
-from dataclasses import FrozenInstanceError, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.config import (
     TENANCY_ENV,
     TIMELINE_WINDOW_ENV,
     RunConfig,
+    datapath_from_env,
 )
 from repro.sim.runner import _resolve_config
 from repro.sim.tenancy import preset_scenario
@@ -38,8 +42,10 @@ def _clean_knob_env(monkeypatch):
 
 def test_defaults_match_the_documented_knob_defaults():
     config = RunConfig()
+    assert [field.name for field in fields(RunConfig)] == [
+        "fast", "shards", "observe", "timeline_window", "tenancy"
+    ]
     assert config.fast is False
-    assert config.datapath == DEFAULT_BUILD
     assert config.shards == 1
     assert config.observe == "off"
     assert config.timeline_window is None
@@ -53,10 +59,11 @@ def test_config_is_frozen():
 
 
 def test_bad_build_and_shards_fail_loudly():
+    # The build is a process switch (set_datapath), not a config field.
+    with pytest.raises(TypeError, match="datapath"):
+        RunConfig(datapath="scalar")
     with pytest.raises(ValueError, match="unknown datapath build"):
-        RunConfig(datapath="vectorized")
-    with pytest.raises(ValueError, match="unknown datapath build"):
-        RunConfig.from_env({DATAPATH_ENV: "vectorized"})
+        datapath_from_env({DATAPATH_ENV: "vectorized"})
     # A shard count that does not parse is an error, not a silent
     # fallback to a serial run.
     with pytest.raises(ValueError, match="REPRO_SHARDS"):
@@ -66,7 +73,7 @@ def test_bad_build_and_shards_fail_loudly():
 def test_removed_veto_variables_are_ignored():
     """The old REPRO_DISABLE_* switches no longer select a build."""
     env = {"REPRO_DISABLE_FASTPATH": "1", "REPRO_DISABLE_BATCH": "1"}
-    assert RunConfig.from_env(env).datapath == DEFAULT_BUILD
+    assert datapath_from_env(env) == DEFAULT_BUILD
 
 
 def test_observe_accepts_levels_and_legacy_bools():
@@ -97,13 +104,38 @@ def test_shards_normalize_at_construction():
     assert RunConfig(shards=-3).shards == per_cpu
 
 
+@pytest.mark.parametrize(
+    "reader, variable, value",
+    [
+        (RunConfig.from_env, TIMELINE_WINDOW_ENV, "abc"),
+        (RunConfig.from_env, TIMELINE_WINDOW_ENV, "-5"),
+        (RunConfig.from_env, TIMELINE_WINDOW_ENV, "0"),
+        (RunConfig.from_env, TENANCY_ENV, "{bad"),
+        (RunConfig.from_env, TENANCY_ENV, json.dumps({"x": 1})),
+        (RunConfig.from_env, TENANCY_ENV, json.dumps({"tenants": 3})),
+        (datapath_from_env, DATAPATH_ENV, "batchd"),
+    ],
+    ids=[
+        "window-not-a-number",
+        "window-negative",
+        "window-zero",
+        "tenancy-not-json",
+        "tenancy-no-tenants",
+        "tenancy-tenants-not-a-list",
+        "datapath-unknown-build",
+    ],
+)
+def test_malformed_variable_raises_value_error_naming_it(reader, variable, value):
+    with pytest.raises(ValueError, match=variable):
+        reader({variable: value})
+
+
 # -- env round trip ------------------------------------------------------
 
 
 def test_to_env_from_env_round_trips_every_field():
     config = RunConfig(
         fast=True,
-        datapath="batched",
         shards=4,
         observe=True,
         timeline_window=5000.0,
@@ -120,7 +152,7 @@ def test_to_env_omits_unset_optionals():
     exported = RunConfig().to_env()
     assert TIMELINE_WINDOW_ENV not in exported
     assert TENANCY_ENV not in exported
-    assert exported[DATAPATH_ENV] == DEFAULT_BUILD
+    assert DATAPATH_ENV not in exported
     assert exported[SHARDS_ENV] == "1"
     assert exported[OBSERVE_ENV] == "off"
 
@@ -133,7 +165,7 @@ def test_from_env_reads_the_documented_variables():
         TIMELINE_WINDOW_ENV: "250000.0",
     }
     config = RunConfig.from_env(env)
-    assert config.datapath == "scalar"
+    assert datapath_from_env(env) == "scalar"
     assert config.shards == 3
     assert config.observe == "full"
     assert config.timeline_window == 250000.0
@@ -144,7 +176,8 @@ def test_exported_sets_then_restores_the_environment():
     os.environ.pop(SHARDS_ENV, None)
     config = RunConfig(shards=2, tenancy=preset_scenario("balanced"))
     with config.exported():
-        assert os.environ[DATAPATH_ENV] == DEFAULT_BUILD
+        # The build belongs to set_datapath; exported() leaves it be.
+        assert os.environ[DATAPATH_ENV] == "scalar"
         assert os.environ[SHARDS_ENV] == "2"
         assert TENANCY_ENV in os.environ
         assert RunConfig.from_env() == replace(config, fast=False)
@@ -176,7 +209,6 @@ def test_worker_pool_reconstructs_an_identical_config():
     from repro.sim.parallel import worker_config_probe
 
     config = RunConfig(
-        datapath="batched",
         shards=2,
         observe=True,
         tenancy=preset_scenario("aggressor"),
@@ -189,3 +221,28 @@ def test_worker_pool_reconstructs_an_identical_config():
             pytest.skip("process pools unavailable on this host")
     expected = replace(config, fast=False)
     assert all(probe == expected for probe in probes)
+
+
+def _worker_build(_: object) -> str:
+    from repro import datapath
+
+    return datapath.current_build()
+
+
+def test_pool_workers_run_the_parents_build_inside_exported(scalar_build):
+    """A freshly spawned worker runs the build the parent set.
+
+    ``exported()`` leaves ``REPRO_DATAPATH`` to ``set_datapath``, so a
+    default ``RunConfig()`` export cannot reset the workers to the
+    default build.  Spawned (not forked) workers import ``repro`` anew,
+    so they see the build only through the environment.
+    """
+    with scalar_build(), RunConfig().exported():
+        try:
+            with ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("spawn")
+            ) as pool:
+                builds = list(pool.map(_worker_build, range(2)))
+        except OSError:
+            pytest.skip("process pools unavailable on this host")
+    assert builds == ["scalar", "scalar"]

@@ -227,9 +227,13 @@ def test_window_env_override(monkeypatch):
     monkeypatch.setenv(TIMELINE_WINDOW_ENV, "12500")
     assert window_cycles_requested() == 12500.0
     assert TimelineSampler().window_cycles == 12500.0
-    monkeypatch.setenv(TIMELINE_WINDOW_ENV, "not-a-number")
-    assert window_cycles_requested() == DEFAULT_WINDOW_CYCLES
-    monkeypatch.setenv(TIMELINE_WINDOW_ENV, "-5")
+    # A malformed override is an error naming the variable, never a
+    # silent fall back to the default width.
+    for bad in ("not-a-number", "-5", "0"):
+        monkeypatch.setenv(TIMELINE_WINDOW_ENV, bad)
+        with pytest.raises(ValueError, match=TIMELINE_WINDOW_ENV):
+            window_cycles_requested()
+    monkeypatch.delenv(TIMELINE_WINDOW_ENV)
     assert window_cycles_requested() == DEFAULT_WINDOW_CYCLES
 
 
