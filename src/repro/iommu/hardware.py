@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro import datapath as _datapath
 from repro.dma import DmaDirection
 from repro.faults import ContextFault, PermissionFault
 from repro.iommu.context import ContextTables
 from repro.iommu.iotlb import Iotlb, IotlbEntry, DEFAULT_IOTLB_CAPACITY
 from repro.iommu.page_table import RadixPageTable, direction_allowed
+from repro.iommu.qi import QueuedInvalidation
 from repro.memory.address import PAGE_MASK, PAGE_SHIFT
 from repro.memory.coherency import CoherencyDomain
 from repro.memory.physical import MemorySystem
@@ -50,10 +52,6 @@ class Iommu:
         self.coherency = coherency if coherency is not None else CoherencyDomain()
         self.contexts = ContextTables(mem, self.coherency)
         self.iotlb = Iotlb(iotlb_capacity)
-        # The queued-invalidation interface (imported lazily to avoid a
-        # module cycle with the iotlb import above).
-        from repro.iommu.qi import QueuedInvalidation
-
         self.qi = QueuedInvalidation(mem, self.iotlb)
         self.stats = TranslationStats()
         self._tables_by_root: Dict[int, RadixPageTable] = {}
@@ -115,7 +113,21 @@ class Iommu:
         if TRACE.active:
             TRACE.emit("translate", layer="iommu", bdf=bdf, iova=iova)
 
-        root_addr = self.contexts.lookup(bdf)
+        contexts = self.contexts
+        coherency = self.coherency
+        cached = (
+            contexts._lookup_cache.get(bdf)
+            if _datapath.COLUMNAR_ENABLED
+            and (coherency.coherent or not coherency._dirty)
+            else None
+        )
+        if cached is not None:
+            # Fused ContextTables.lookup hit: with no dirty line to trip
+            # over, its two hardware reads only count.
+            coherency.stats.hardware_reads += 2
+            root_addr = cached[2]
+        else:
+            root_addr = contexts.lookup(bdf)
         table = self._tables_by_root.get(root_addr)
         if table is None:
             raise ContextFault(

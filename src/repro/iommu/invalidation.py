@@ -13,8 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
+from repro import datapath as _datapath
 from repro.iommu.iotlb import Iotlb
+from repro.iommu.qi import (
+    _DESC_PAIR,
+    _OP_PAGE,
+    _OP_WAIT,
+    QI_DESCRIPTOR_BYTES,
+    QueueFullError,
+)
 from repro.iova.base import IovaAllocator, IovaRange
+from repro.obs.tracer import TRACE
 
 #: Linux's deferred-mode batch size (paper §3.2).
 DEFAULT_FLUSH_THRESHOLD = 250
@@ -50,13 +59,54 @@ class StrictInvalidation:
 
         Returns the number of single-entry invalidations issued.
         """
-        if self.qi is not None:
+        qi = self.qi
+        if qi is not None:
+            head = qi.head
+            entries = qi.entries
+            if (
+                _datapath.COLUMNAR_ENABLED
+                and rng[0] == rng[1]
+                and head == qi.tail
+                and entries > 2
+                and head + 2 <= entries
+                and not TRACE.active
+            ):
+                # Fused handshake for one page on an empty queue whose
+                # next two slots do not wrap: the invalidation and wait
+                # descriptors go into the ring as one 32-byte store, the
+                # hardware reads both back at once, invalidates, writes
+                # the status word and leaves the queue empty again.
+                # Ring bytes, head/tail and every counter end as the
+                # submit/doorbell/drain calls below leave them.
+                ram = qi.mem.ram
+                slot_addr = qi.base_addr + head * QI_DESCRIPTOR_BYTES
+                ram.write(
+                    slot_addr,
+                    _DESC_PAIR.pack(
+                        _OP_PAGE, rng[0], tag, _OP_WAIT, self._status_addr, 1
+                    ),
+                )
+                _, vpn, inv_tag, _, status_addr, status_value = _DESC_PAIR.unpack(
+                    ram.read(slot_addr, 2 * QI_DESCRIPTOR_BYTES)
+                )
+                iotlb = qi.iotlb
+                iotlb.generation += 1
+                iotlb.stats.single_invalidations += 1
+                iotlb._entries.pop((inv_tag, vpn), None)
+                ram.write_u64(status_addr, status_value)
+                qi.head = qi.tail = (head + 2) % entries
+                qi_stats = qi.stats
+                qi_stats.submitted += 2
+                qi_stats.doorbells += 1
+                qi_stats.processed += 2
+                qi_stats.waits_completed += 1
+                self.stats.single += 1
+                self.allocator.free(rng)
+                return 1
             # One queued handshake covers the range (page-selective
             # invalidation); per-page submission for multi-page ranges,
             # draining the queue whenever it fills (large unmaps can
             # exceed the queue depth).
-            from repro.iommu.qi import QueueFullError
-
             for vpn in range(rng.pfn_lo, rng.pfn_hi + 1):
                 try:
                     self.qi.submit_page_invalidation(tag, vpn)

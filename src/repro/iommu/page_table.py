@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Tuple
 
+from repro import datapath as _datapath
 from repro.dma import DmaDirection
 from repro.faults import PermissionFault, TranslationFault
 from repro.memory.address import (
+    CACHELINE_SIZE,
+    PAGE_MASK,
     PAGE_SHIFT,
     PAGE_SIZE,
     RADIX_LEVEL_BITS,
@@ -39,6 +42,11 @@ PTE_ADDR_MASK = ~(PAGE_SIZE - 1)
 #: address bits above one leaf table's reach (4 KiB pages x 512 entries)
 _LEAF_TABLE_SHIFT = PAGE_SHIFT + RADIX_LEVEL_BITS
 _LEAF_INDEX_MASK = (1 << RADIX_LEVEL_BITS) - 1
+#: (level, IOVA shift of its table index), root first, for the fused walk
+_WALK_LEVELS = tuple(
+    (level + 1, PAGE_SHIFT + (RADIX_LEVELS - 1 - level) * RADIX_LEVEL_BITS)
+    for level in range(RADIX_LEVELS)
+)
 
 
 def perms_from_direction(direction: DmaDirection) -> int:
@@ -49,7 +57,9 @@ def perms_from_direction(direction: DmaDirection) -> int:
 
 
 # Enumerated explicitly: iterating an IntFlag yields only the single-bit
-# members, which would miss the composite BIDIRECTIONAL.
+# members, which would miss the composite BIDIRECTIONAL.  The columnar
+# paths look it up by the member itself, which hashes and compares as
+# its int value: ``.value`` is a Python-level property call.
 _PERMS_BY_DIRECTION = {
     direction.value: (PTE_READ if direction.device_reads else 0)
     | (PTE_WRITE if direction.device_writes else 0)
@@ -212,7 +222,7 @@ class RadixPageTable:
         leaf_addr = table_addr + ((iova >> PAGE_SHIFT) & _LEAF_INDEX_MASK) * 8
         if self.mem.ram.read_u64(leaf_addr) & PTE_PRESENT:
             raise ValueError(f"IOVA page {iova:#x} is already mapped")
-        pte = page_base(phys_addr) | _PERMS_BY_DIRECTION[direction.value] | PTE_PRESENT
+        pte = (phys_addr & ~PAGE_MASK) | _PERMS_BY_DIRECTION[direction] | PTE_PRESENT
         self._write_entry(leaf_addr, pte)
         self.mapped_pages += 1
         return 1, 0
@@ -254,6 +264,29 @@ class RadixPageTable:
 
     def _write_entry(self, entry_addr: int, value: int) -> None:
         """Write one PTE and make it visible to the hardware walker."""
+        if _datapath.COLUMNAR_ENABLED:
+            # Fused body of the three calls below.  An entry is 8-byte
+            # aligned, so it sits in one cacheline: cpu_write dirties that
+            # line and sync_mem flushes it again, leaving it clean on a
+            # non-coherent platform.  A table frame not yet materialised
+            # is created by write_u64.
+            ram = self.mem.ram
+            page = ram._frames.get(entry_addr >> PAGE_SHIFT)
+            if page is None:
+                ram.write_u64(entry_addr, value)
+            else:
+                off = entry_addr & PAGE_MASK
+                page[off : off + 8] = value.to_bytes(8, "little")
+            coherency = self.coherency
+            stats = coherency.stats
+            stats.dirty_marks += 1
+            if coherency.coherent:
+                stats.barriers += 1
+            else:
+                stats.barriers += 2
+                stats.flushes += 1
+                coherency._dirty.discard(entry_addr & ~(CACHELINE_SIZE - 1))
+            return
         self.mem.ram.write_u64(entry_addr, value)
         self.coherency.cpu_write(entry_addr, 8)
         self.coherency.sync_mem(entry_addr, 8)
@@ -262,6 +295,46 @@ class RadixPageTable:
 
     def walk(self, iova: int, access: DmaDirection) -> WalkResult:
         """Hardware page walk: resolve ``iova`` or raise an I/O page fault."""
+        coherency = self.coherency
+        if _datapath.COLUMNAR_ENABLED and (coherency.coherent or not coherency._dirty):
+            # Fused body: with no dirty line to trip over, hardware_read
+            # only counts, so each level's entry is read straight from
+            # the frame store.  Every level is read on every walk, so
+            # corrupted table memory is seen just as by the loop below.
+            ram = self.mem.ram
+            frames = ram._frames
+            table_addr = self.root_addr
+            for level, shift in _WALK_LEVELS:
+                entry_addr = table_addr + ((iova >> shift) & _LEAF_INDEX_MASK) * 8
+                page = frames.get(entry_addr >> PAGE_SHIFT)
+                if page is not None:
+                    off = entry_addr & PAGE_MASK
+                    entry = int.from_bytes(page[off : off + 8], "little")
+                elif entry_addr + 8 <= ram.size_bytes:
+                    entry = 0  # an untouched frame reads as zero
+                else:
+                    # Past the end of memory: the loop below re-walks
+                    # and raises read_u64's error with the same counts.
+                    break
+                if not entry & PTE_PRESENT:
+                    coherency.stats.hardware_reads += level
+                    raise TranslationFault(
+                        f"walk failed at level {level} for IOVA {iova:#x}", iova=iova
+                    )
+                table_addr = entry & PTE_ADDR_MASK
+            else:
+                coherency.stats.hardware_reads += RADIX_LEVELS
+                perms = entry & PTE_FLAG_MASK
+                # direction_allowed: the access needs the permission bits
+                # a mapping of its own direction would grant.
+                needed = _PERMS_BY_DIRECTION[access]
+                if perms & needed != needed:
+                    raise PermissionFault(
+                        f"IOVA {iova:#x} does not permit {access!r}", iova=iova
+                    )
+                # tuple.__new__ directly: WalkResult.__new__ is a Python
+                # frame of its own.
+                return tuple.__new__(WalkResult, (table_addr, perms, RADIX_LEVELS))
         indices = radix_indices(iova)
         table_addr = self.root_addr
         hardware_read = self.coherency.hardware_read

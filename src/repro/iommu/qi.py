@@ -28,6 +28,10 @@ QI_DESCRIPTOR_BYTES = 16
 #: 16-byte descriptor layout: u32 opcode, u64 operand0, u32 operand1.
 _DESC = struct.Struct("<IQI")
 assert _DESC.size == QI_DESCRIPTOR_BYTES
+#: Two consecutive descriptors: a page invalidation and the wait behind
+#: it, stored and read back in one go by the strict unmap's handshake.
+_DESC_PAIR = struct.Struct("<IQIIQI")
+assert _DESC_PAIR.size == 2 * QI_DESCRIPTOR_BYTES
 
 
 class QiOpcode(enum.Enum):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import datapath as _datapath
 from repro.iova.base import (
     IovaAllocator,
     IovaExhaustedError,
@@ -38,6 +39,10 @@ class LinuxIovaAllocator(IovaAllocator):
         self.tree = RBTree()
         #: Linux's ``cached32_node`` — the search hint.
         self._cached: Optional[RBNode] = None
+        #: the node the last :meth:`find` returned and the visits its
+        #: search took, until the tree next changes
+        self._found: Optional[RBNode] = None
+        self._found_visits = 0
 
     # -- allocation (alloc_iova / __alloc_and_insert_iova_range) ----------
 
@@ -81,6 +86,7 @@ class LinuxIovaAllocator(IovaAllocator):
 
         new_rng = IovaRange(found - pages + 1, found)
         node = self.tree.insert(new_rng)
+        self._found = None
         # __cached_rbnode_insert_update: remember the new node as the hint.
         self._cached = node
         walk_steps += self.tree.visits - visits_before
@@ -105,6 +111,8 @@ class LinuxIovaAllocator(IovaAllocator):
         node = self.tree.find_containing(pfn)
         self.stats.last_find_visits = self.tree.visits - visits_before
         self.stats.find_visits += self.stats.last_find_visits
+        self._found = node
+        self._found_visits = self.stats.last_find_visits
         if node is None:
             raise IovaNotFoundError(f"no allocated IOVA contains pfn {pfn}")
         return node.rng
@@ -114,19 +122,31 @@ class LinuxIovaAllocator(IovaAllocator):
     def free(self, rng: IovaRange) -> None:
         """Release ``rng``; updates the cached hint like the kernel does."""
         self.stats.frees += 1
-        visits_before = self.tree.visits
-        node = self.tree.find_containing(rng.pfn_lo)
-        if node is None or node.rng != rng:
-            raise IovaNotFoundError(f"range {rng} is not allocated")
+        tree = self.tree
+        node = self._found
+        if _datapath.COLUMNAR_ENABLED and node is not None and node.rng is rng:
+            # Freeing the range the last find returned, with the tree
+            # unchanged since: the search below would retrace that
+            # find's path (every pfn of a range takes the same one), so
+            # take its node and add its visits instead.
+            visits = self._found_visits
+            tree.visits += visits
+        else:
+            visits_before = tree.visits
+            node = tree.find_containing(rng.pfn_lo)
+            if node is None or node.rng != rng:
+                raise IovaNotFoundError(f"range {rng} is not allocated")
+            visits = tree.visits - visits_before
+        self._found = None
         # __cached_rbnode_delete_update: a free at-or-above the hint moves
         # the hint to the freed node's successor (possibly far up-tree).
         if self._cached is not None and rng.pfn_lo >= self._cached.rng.pfn_lo:
             self._cached = RBTree.successor(node)
         elif self._cached is node:
             self._cached = RBTree.successor(node)
-        self.tree.delete(node)
-        self.stats.last_free_visits = self.tree.visits - visits_before
-        self.stats.free_visits += self.stats.last_free_visits
+        tree.delete(node)
+        self.stats.last_free_visits = visits
+        self.stats.free_visits += visits
 
     def live_count(self) -> int:
         """Number of currently-allocated ranges."""

@@ -76,23 +76,6 @@ class DmaApi(abc.ABC):
 
     # -- burst forms (columnar datapath) -----------------------------------
 
-    def map_burst(
-        self,
-        specs: Sequence[Tuple[int, int]],
-        direction: DmaDirection,
-        ring: Optional[int] = None,
-    ) -> List[int]:
-        """Map a burst of (phys_addr, size) buffers; returns device addresses.
-
-        Semantically a loop of :meth:`map_request` calls (and that is the
-        default implementation); backends override it to charge the
-        whole burst with per-component folds instead of per-item calls.
-        """
-        return [
-            self.map_request(_map_request(phys, size, direction, ring)).device_addr
-            for phys, size in specs
-        ]
-
     def unmap_burst(
         self, device_addrs: Sequence[int], end_of_burst: bool = True
     ) -> List[int]:
@@ -165,18 +148,6 @@ class IdentityDmaApi(DmaApi):
 
     def unmap_request(self, req: UnmapRequest) -> UnmapResult:
         return _unmap_result(req.device_addr)
-
-    def map_burst(
-        self,
-        specs: Sequence[Tuple[int, int]],
-        direction: DmaDirection,
-        ring: Optional[int] = None,
-    ) -> List[int]:
-        # No state and no cost: validate in request order, pass through.
-        for _, size in specs:
-            if size <= 0:
-                raise ValueError("size must be positive")
-        return [phys for phys, _ in specs]
 
     def unmap_burst(
         self, device_addrs: Sequence[int], end_of_burst: bool = True

@@ -6,6 +6,8 @@ observable behaviour is the *designed* failure (drop, fault, back
 pressure), never silent corruption.
 """
 
+import contextlib
+
 import pytest
 
 from repro.core import RIommuDriver, RIommuHardware, RIova, RPte
@@ -19,7 +21,7 @@ from repro.devices import (
 )
 from repro.dma import DmaDirection, MapResult
 from repro.faults import IoPageFault, TranslationFault
-from repro.iommu import BaselineIommuDriver, Iommu
+from repro.iommu import BaselineIommuDriver, Iommu, RadixPageTable
 from repro.iova import IovaExhaustedError, LinuxIovaAllocator
 from repro.kernel import Machine, NetDriver
 from repro.memory import MemorySystem, StaleReadError
@@ -97,6 +99,31 @@ def test_missing_flush_is_detected_by_coherency_domain():
     iova = ring_map(driver, rid, phys, 100, DmaDirection.FROM_DEVICE)
     with pytest.raises(StaleReadError):
         hw.rtranslate(BDF, iova, DmaDirection.FROM_DEVICE)
+
+
+class ForgetfulRadixPageTable(RadixPageTable):
+    """A buggy baseline page table that skips sync_mem after a PTE store."""
+
+    def _write_entry(self, entry_addr, value):
+        self.mem.ram.write_u64(entry_addr, value)
+        self.coherency.cpu_write(entry_addr, 8)
+        # BUG: no sync_mem here.
+
+
+@pytest.mark.parametrize("build", ["scalar", "columnar"])
+def test_missing_baseline_flush_is_detected_by_the_walk(scalar_build, build):
+    with scalar_build() if build == "scalar" else contextlib.nullcontext():
+        mem = MemorySystem(size_bytes=1 << 24)
+        iommu = Iommu(mem)
+        table = ForgetfulRadixPageTable(mem, iommu.coherency)
+        iommu.attach_device(BDF, table)
+        phys = mem.alloc_dma_buffer(4096)
+        table.map_page(0x10000, phys, DmaDirection.FROM_DEVICE)
+        with pytest.raises(StaleReadError):
+            table.walk(0x10000, DmaDirection.FROM_DEVICE)
+        with pytest.raises(StaleReadError):
+            iommu.translate(BDF, 0x10000, DmaDirection.FROM_DEVICE)
+        assert iommu.coherency.stats.stale_reads == 2
 
 
 # -- resource exhaustion ------------------------------------------------------------------
