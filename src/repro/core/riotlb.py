@@ -17,12 +17,16 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.structures import (
+    _DIR_BY_BITS,
+    _RPTE_STRUCT as _U64_PAIR,
     MAX_OFFSET,
     MAX_RENTRY,
     MAX_RID,
+    MAX_RPTE_SIZE,
     OFFSET_BITS,
     RENTRY_BITS,
     RPTE_BYTES,
+    RRING_ENTRY_BYTES,
     RDevice,
     RIotlbEntry,
     RIova,
@@ -30,6 +34,7 @@ from repro.core.structures import (
 )
 from repro.dma import DmaDirection
 from repro.faults import BoundsFault, ContextFault, PermissionFault, TranslationFault
+from repro.memory.address import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from repro.obs.tracer import TRACE
 
 
@@ -235,36 +240,125 @@ class RIommuHardware:
         """Translate a packed rIOVA and bounds-check ``size`` bytes.
 
         Bit-identical to :meth:`rtranslate` on the start offset followed
-        (for ``size > 1``) by a second call on the last byte's offset —
-        but the common case (tracer off, the ring's entry cached and
-        current, access in bounds) is folded into one lookup with both
-        calls' counter updates applied at once.  Anything else — cold
-        entry, entry sync, stale trace emission, any fault — re-runs the
+        (for ``size > 1``) by a second call on the last byte's offset.
+        Two cases are folded into one frame with both calls' counter
+        updates applied at once, with the tracer off:
+
+        * the ring's entry is current and the access is in bounds;
+        * the sequential advance (paper §4): the access is to the ring
+          entry after the cached one, whose rPTE was prefetched into
+          ``entry.next``.  The scalar pair would look the context up
+          (two reads), read the rRING descriptor to sync, promote
+          ``next``, read the descriptor again to prefetch and read the
+          following rPTE; this counts the same five hardware reads and
+          reads that rPTE from memory into the new ``next``.
+
+        Anything else — cold entry, table-walk sync, disabled prefetch,
+        a dirty line pending on a non-coherent domain, a lookup not yet
+        in the context cache, a one-entry ring, any fault — re-runs the
         exact scalar pair.
         """
         rid = (packed >> (OFFSET_BITS + RENTRY_BITS)) & MAX_RID
         rentry = (packed >> OFFSET_BITS) & MAX_RENTRY
         offset = packed & MAX_OFFSET
         entry = self.riotlb._entries.get((bdf, rid))
-        hot = entry is not None and entry.rentry == rentry and not TRACE.active
-        if hot:
-            rpte = entry.rpte
+        if entry is not None and not TRACE.active:
+            n = 2 if size > 1 else 1
             end = offset + size - 1 if size > 1 else offset
-            dv = int(rpte.direction)
-            av = int(direction)
-            if end < rpte.size and (dv & av) != 0 and (av & ~dv) == 0:
-                stats = self.riotlb.stats
-                n = 2 if size > 1 else 1
-                stats.translations += n
-                stats.hits += n
-                if not entry.backing_valid:
-                    stats.stale_hits += n
-                return rpte.phys_addr + offset
+            wanted = int(direction)
+            if entry.rentry == rentry:
+                rpte = entry.rpte
+                granted = int(rpte.direction)
+                if (
+                    end < rpte.size
+                    and granted & wanted
+                    and not wanted & (3 ^ granted)
+                ):
+                    stats = self.riotlb.stats
+                    stats.translations += n
+                    stats.hits += n
+                    if not entry.backing_valid:
+                        stats.stale_hits += n
+                    return rpte.phys_addr + offset
+            elif self.prefetch_enabled:
+                phys = self._advance(entry, bdf, rentry, offset, end, wanted, n)
+                if phys is not None:
+                    return phys
         iova = RIova(offset=offset, rentry=rentry, rid=rid)
         phys = self.rtranslate(bdf, iova, direction)
         if size > 1:
             self.rtranslate(bdf, iova.with_offset(offset + size - 1), direction)
         return phys
+
+    def _advance(
+        self,
+        entry: RIotlbEntry,
+        bdf: int,
+        rentry: int,
+        offset: int,
+        end: int,
+        wanted: int,
+        n: int,
+    ) -> Optional[int]:
+        """The sequential advance of :meth:`rtranslate_span`, or None.
+
+        Returns None, having changed nothing, whenever the scalar pair
+        could do anything but promote ``entry.next``: its caller then
+        runs that pair.
+        """
+        nxt = entry.next
+        contexts = self.contexts
+        if nxt is None or not nxt.valid or contexts is None:
+            return None
+        cached = contexts._lookup_cache.get(bdf)
+        ctx_coherency = contexts.coherency
+        if cached is None or (not ctx_coherency.coherent and ctx_coherency._dirty):
+            return None
+        device = self._devices_by_table.get(cached[2])
+        if device is None:
+            return None
+        coherency = device.coherency
+        if not coherency.coherent and coherency._dirty:
+            return None
+        granted = int(nxt.direction)
+        if end >= nxt.size or not granted & wanted or wanted & (3 ^ granted):
+            return None
+        # The rRING descriptor and the rPTE after ``rentry``, read from
+        # the frame store as hardware_read + ram.read would return them.
+        ram = device.mem.ram
+        frames = ram._frames
+        desc_addr = device.table_addr + entry.rid * RRING_ENTRY_BYTES
+        page = frames.get(desc_addr >> PAGE_SHIFT)
+        if page is None:
+            return None
+        table_addr, ring_size = _U64_PAIR.unpack_from(page, desc_addr & PAGE_MASK)
+        if ring_size <= 1 or (entry.rentry + 1) % ring_size != rentry:
+            return None
+        pte_addr = table_addr + ((rentry + 1) % ring_size) * RPTE_BYTES
+        if (pte_addr & PAGE_MASK) > PAGE_SIZE - RPTE_BYTES:
+            return None
+        page = frames.get(pte_addr >> PAGE_SHIFT)
+        if page is not None:
+            word0, word1 = _U64_PAIR.unpack_from(page, pte_addr & PAGE_MASK)
+        elif pte_addr + RPTE_BYTES <= ram.size_bytes:
+            word0 = word1 = 0  # an untouched frame reads as zero
+        else:
+            return None  # past the end of memory: the scalar read raises
+        stats = self.riotlb.stats
+        stats.translations += n
+        stats.hits += n
+        stats.prefetch_hits += 1
+        ctx_coherency.stats.hardware_reads += 2
+        coherency.stats.hardware_reads += 3
+        entry.rpte = nxt
+        entry.rentry = rentry
+        entry.backing_valid = True
+        entry.next = (
+            RPte(word0, word1 & MAX_RPTE_SIZE, _DIR_BY_BITS[(word1 >> 30) & 3], True)
+            if (word1 >> 32) & 1
+            else None
+        )
+        return nxt.phys_addr + offset
 
     def rtable_walk(self, bdf: int, iova: RIova) -> RIotlbEntry:
         """Validate the rIOVA against the structures and fetch its rPTE.

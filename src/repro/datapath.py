@@ -13,8 +13,9 @@ faults, memory contents) and differing only in wall-clock speed:
   scatter-gather copies, plus struct-of-arrays burst processing: whole
   map/unmap bursts charged with one exact fold per component
   (precomputed per-mode cost vectors), raw-struct descriptor and rPTE
-  codecs, and observer-free specializations of the burst loops selected
-  when no tracer is active.  The default.
+  codecs, driver-side Tx frame trains, and observer-free
+  specializations of the burst loops selected when no tracer is
+  active.  The default.
 
 Selection is one documented knob::
 

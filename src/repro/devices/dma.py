@@ -53,7 +53,8 @@ class TranslationBackend(abc.ABC):
         page-by-page merge physically-contiguous runs into single
         extents so the copy layer touches each run once.  Identity and
         rIOMMU backends already produce one extent per access, so the
-        default simply defers to :meth:`translate_range`.
+        default simply defers to :meth:`translate_range` (the rIOMMU
+        backend folds its two translations into one call instead).
         """
         return self.translate_range(bdf, addr, size, direction)
 
@@ -260,10 +261,6 @@ class RIommuBackend(TranslationBackend):
     def translate_range(
         self, bdf: int, addr: int, size: int, direction: DmaDirection
     ) -> List[Tuple[int, int]]:
-        if _datapath.COLUMNAR_ENABLED:
-            # Folded start+end translation (rtranslate_span falls back to
-            # the scalar pair itself for cold/sync/fault/traced cases).
-            return [(self.hardware.rtranslate_span(bdf, addr, size, direction), size)]
         iova = unpack_iova(addr)
         phys = self.hardware.rtranslate(bdf, iova, direction)
         if size > 1:
@@ -273,6 +270,14 @@ class RIommuBackend(TranslationBackend):
                 bdf, iova.with_offset(iova.offset + size - 1), direction
             )
         return [(phys, size)]
+
+    def translate_sg(
+        self, bdf: int, addr: int, size: int, direction: DmaDirection
+    ) -> List[Tuple[int, int]]:
+        # The columnar build's bulk paths: the start+end pair folded into
+        # one call (rtranslate_span runs the pair itself for the cold,
+        # table-walk, fault and traced cases).
+        return [(self.hardware.rtranslate_span(bdf, addr, size, direction), size)]
 
 
 class SwptBackend(TranslationBackend):

@@ -43,8 +43,16 @@ class DmaDirection(enum.IntFlag):
         return bool(self & DmaDirection.FROM_DEVICE)
 
     def permits(self, access: "DmaDirection") -> bool:
-        """True if an access of direction ``access`` is allowed by ``self``."""
-        return bool(self & access) and (access & ~self) == 0
+        """True if an access of direction ``access`` is allowed by ``self``.
+
+        The IntFlag expression ``bool(self & access) and not access &
+        ~self`` in int arithmetic (``~self`` complements within the two
+        direction bits): IntFlag ``&`` and ``~`` build a member per
+        operation, and this runs on every rIOMMU translation.
+        """
+        granted = int(self)
+        wanted = int(access)
+        return bool(granted & wanted) and not wanted & (3 ^ granted)
 
 
 class _Record(tuple):

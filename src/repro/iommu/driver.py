@@ -304,22 +304,27 @@ class BaselineIommuDriver:
             raise IovaNotFoundError(f"IOVA {iova:#x} is not a live mapping")
 
         # Step 2: remove the translation from the page table hierarchy.
-        entries = 0
-        domain_id = self.page_table.domain_id
+        page_table = self.page_table
+        domain_id = page_table.domain_id
         pfn_lo = rng.pfn_lo
-        unmap_page = self.page_table.unmap_page
         mark_backing_invalid = self.iommu.iotlb.mark_backing_invalid
-        for i in range(rng.pages):
-            op = unmap_page((pfn_lo + i) << PAGE_SHIFT)
-            entries += op.entries_written
-            mark_backing_invalid(domain_id, pfn_lo + i)
         if costs is None:
+            entries = 0
+            unmap_page = page_table.unmap_page
+            for i in range(rng.pages):
+                op = unmap_page((pfn_lo + i) << PAGE_SHIFT)
+                entries += op.entries_written
+                mark_backing_invalid(domain_id, pfn_lo + i)
             account.charge(
                 Component.UNMAP_PAGE_TABLE,
                 self.cost_model.page_table_update(rng.pages, entries, 0, is_map=False),
                 events=rng.pages,
             )
         else:
+            unmap_page_fast = page_table.unmap_page_fast
+            for i in range(rng.pages):
+                unmap_page_fast((pfn_lo + i) << PAGE_SHIFT)
+                mark_backing_invalid(domain_id, pfn_lo + i)
             account.stage(
                 Component.UNMAP_PAGE_TABLE,
                 costs[4] if rng.pages == 1 else costs[4] * rng.pages,
@@ -418,7 +423,7 @@ class BaselineIommuDriver:
         live = self._live
         page_table = self.page_table
         domain_id = page_table.domain_id
-        unmap_page = page_table.unmap_page
+        unmap_page = page_table.unmap_page_fast
         mark_backing_invalid = self.iommu.iotlb.mark_backing_invalid
         on_unmap = self.invalidation.on_unmap
         phys_addrs: List[int] = []

@@ -133,7 +133,20 @@ class Iommu:
             raise ContextFault(
                 f"context entry for bdf {bdf:#06x} points at unknown table", bdf=bdf
             )
-        entry = self.iotlb.lookup(table.domain_id, vpn)
+        iotlb = self.iotlb
+        key = (table.domain_id, vpn)
+        if _datapath.COLUMNAR_ENABLED:
+            # Iotlb.lookup inlined: LRU touch and hit/miss/stale counts.
+            entry = iotlb._entries.get(key)
+            if entry is None:
+                iotlb.stats.misses += 1
+            else:
+                iotlb._entries.move_to_end(key)
+                iotlb.stats.hits += 1
+                if not entry.backing_valid:
+                    iotlb.stats.stale_hits += 1
+        else:
+            entry = iotlb.lookup(table.domain_id, vpn)
         if entry is not None:
             if TRACE.active:
                 TRACE.emit("iotlb_hit", layer="iommu", bdf=bdf, vpn=vpn)
@@ -150,12 +163,22 @@ class Iommu:
         result = table.walk(iova, access)
         stats.walks += 1
         stats.walk_levels += result.levels_read
-        self.iotlb.insert(
-            IotlbEntry(
-                tag=table.domain_id,
-                vpn=vpn,
-                frame_addr=result.frame_addr,
-                perms=result.perms,
-            )
+        entry = IotlbEntry(
+            tag=table.domain_id,
+            vpn=vpn,
+            frame_addr=result.frame_addr,
+            perms=result.perms,
         )
+        if _datapath.COLUMNAR_ENABLED:
+            # Iotlb.insert inlined for a key the lookup above missed: the
+            # walk leaves the IOTLB alone, so the key is still absent and
+            # a new key lands at the LRU tail.
+            entries = iotlb._entries
+            if len(entries) >= iotlb.capacity:
+                entries.popitem(last=False)
+                iotlb.stats.evictions += 1
+            entries[key] = entry
+            iotlb.stats.insertions += 1
+        else:
+            iotlb.insert(entry)
         return result.frame_addr | (iova & PAGE_MASK)

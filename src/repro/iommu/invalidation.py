@@ -104,18 +104,24 @@ class StrictInvalidation:
                 self.allocator.free(rng)
                 return 1
             # One queued handshake covers the range (page-selective
-            # invalidation); per-page submission for multi-page ranges,
-            # draining the queue whenever it fills (large unmaps can
-            # exceed the queue depth).
+            # invalidation); per-page submission for multi-page ranges.
+            # Whenever the queue fills — large unmaps can exceed its
+            # depth, and the wait descriptor can find the last slot
+            # taken — the doorbell drains it and the submit is retried,
+            # as Linux's qi_submit_sync waits for free slots.
             for vpn in range(rng.pfn_lo, rng.pfn_hi + 1):
                 try:
-                    self.qi.submit_page_invalidation(tag, vpn)
+                    qi.submit_page_invalidation(tag, vpn)
                 except QueueFullError:
-                    self.qi.ring_doorbell()
-                    self.qi.submit_page_invalidation(tag, vpn)
+                    qi.ring_doorbell()
+                    qi.submit_page_invalidation(tag, vpn)
                 self.stats.single += 1
-            self.qi.submit_wait(self._status_addr, 1)
-            self.qi.ring_doorbell()
+            try:
+                qi.submit_wait(self._status_addr, 1)
+            except QueueFullError:
+                qi.ring_doorbell()
+                qi.submit_wait(self._status_addr, 1)
+            qi.ring_doorbell()
         else:
             for vpn in range(rng.pfn_lo, rng.pfn_hi + 1):
                 self.iotlb.invalidate(tag, vpn)

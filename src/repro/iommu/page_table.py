@@ -74,8 +74,9 @@ _PERMS_BY_DIRECTION = {
 def direction_allowed(perms: int, access: DmaDirection) -> bool:
     """True if PTE permission bits allow an access of the given direction."""
     # Raw-int form of access.device_reads/device_writes: this runs once
-    # per translation, and IntFlag ``&`` builds a new member each call.
-    bits = access.value
+    # per translation, and IntFlag ``&`` builds a new member each call
+    # (``int()`` also spares the Python-level ``.value`` property).
+    bits = int(access)
     if bits & 1 and not perms & PTE_READ:  # device reads (TO_DEVICE)
         return False
     if bits & 2 and not perms & PTE_WRITE:  # device writes (FROM_DEVICE)
@@ -261,6 +262,23 @@ class RadixPageTable:
         stats.entries_written += 1
         self.mapped_pages -= 1
         return stats
+
+    def unmap_page_fast(self, iova: int) -> None:
+        """Stats-free :meth:`unmap_page` for the columnar datapath.
+
+        Same memory writes, coherency traffic and errors, but when the
+        leaf table is already resolved it builds no
+        ``PageTableOpStats`` (the staged unmap charges never read it).
+        """
+        table_addr = self._leaf_tables.get(iova >> _LEAF_TABLE_SHIFT)
+        if table_addr is None:
+            self.unmap_page(iova)
+            return
+        leaf_addr = table_addr + ((iova >> PAGE_SHIFT) & _LEAF_INDEX_MASK) * 8
+        if not self.mem.ram.read_u64(leaf_addr) & PTE_PRESENT:
+            raise TranslationFault(f"IOVA page {iova:#x} is not mapped", iova=iova)
+        self._write_entry(leaf_addr, 0)
+        self.mapped_pages -= 1
 
     def _write_entry(self, entry_addr: int, value: int) -> None:
         """Write one PTE and make it visible to the hardware walker."""

@@ -132,18 +132,6 @@ class QueuedInvalidation:
         self.stats.doorbells += 1
         return self._drain()
 
-    def invalidate_page_sync(self, bdf: int, vpn: int, status_addr: int) -> None:
-        """The full strict-mode handshake: inv + wait + doorbell + poll."""
-        ram = self.mem.ram
-        ram.write_u64(status_addr, 0)
-        self._submit(_OP_PAGE, vpn, bdf)
-        self._submit(_OP_WAIT, status_addr, 1)
-        self.stats.doorbells += 1
-        self._drain()
-        # Poll the status word the hardware wrote.
-        if ram.read_u64(status_addr) != 1:
-            raise RuntimeError("wait descriptor did not complete")
-
     def alloc_status_addr(self) -> int:
         """Allocate a pinned status dword for wait descriptors."""
         addr = self.mem.allocator.alloc_page()

@@ -16,15 +16,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro import datapath as _datapath
-from repro.devices.descriptor import _CODEC, FLAG_VALID, Descriptor
+from repro.devices.descriptor import _CODEC, DESCRIPTOR_BYTES, FLAG_VALID, Descriptor
 from repro.devices.nic import SimulatedNic
 from repro.devices.ring import Ring
 from repro.dma import DmaDirection, MapRequest, _map_request, _unmap_request
 from repro.kernel.interrupts import InterruptCoalescer
 from repro.kernel.machine import Machine
+from repro.obs.tracer import TRACE
 
 
 class MappedBuffer(tuple):
@@ -272,10 +273,13 @@ class NetDriver:
         """Map the payload and post a Tx descriptor.
 
         Returns False when the Tx ring is full (caller should pump the
-        device and retry — normal back-pressure).
+        device and retry — normal back-pressure).  The columnar build
+        posts it as a one-frame :meth:`transmit_train`.
         """
         if not payload:
             raise ValueError("payload must be non-empty")
+        if _datapath.COLUMNAR_ENABLED:
+            return self.transmit_train((payload,)) == 1
         if self.tx_ring.free_slots == 0:
             return False
         buffers: List[MappedBuffer] = []
@@ -298,6 +302,76 @@ class NetDriver:
         index = self._post(self.tx_ring, segments)
         self._tx_posted.append((index, buffers))
         return True
+
+    def transmit_train(self, payloads: Sequence[bytes]) -> int:
+        """Transmit the leading frames of ``payloads`` that the Tx ring
+        has room for; returns how many were posted.
+
+        Exactly :meth:`transmit` on each frame in order until the ring
+        is full: 0 means the ring is full (pump the device and retry).
+        While the tracer is active a train is one frame, so the trace
+        keeps each frame's map events next to whatever the caller
+        charges per frame.
+
+        The columnar body is one loop: the map callable is resolved
+        once, each frame writes its payload and maps its buffers (one,
+        or a header and a data buffer) in :meth:`transmit`'s order, and
+        its descriptor is packed raw and written straight to its ring
+        slot, advancing the tail as :meth:`Ring.post_raw` does.
+        """
+        ring = self.tx_ring
+        count = min(len(payloads), ring.free_slots)
+        if TRACE.active and count > 1:
+            count = 1
+        if not _datapath.COLUMNAR_ENABLED:
+            for i in range(count):
+                self.transmit(payloads[i])
+            return count
+        mem = self.machine.mem
+        alloc = mem.alloc_dma_buffer
+        ram = mem.ram
+        write = ram.write
+        api_map = self.api.map_request
+        rid = self._tx_buf_rid
+        to_device = DmaDirection.TO_DEVICE
+        profile = self.profile
+        header = (
+            profile.header_split_bytes if profile.buffers_per_packet > 1 else None
+        )
+        pack = _CODEC.pack
+        posted = self._tx_posted
+        slots = ring.base_phys
+        entries = ring.entries
+        tail = ring.tail
+        for i in range(count):
+            payload = payloads[i]
+            size = len(payload)
+            if not size:
+                raise ValueError("payload must be non-empty")
+            if header is None or size <= header:
+                phys = alloc(size)
+                write(phys, payload)
+                addr = api_map(_map_request(phys, size, to_device, rid))[0]
+                buffers = [tuple.__new__(MappedBuffer, (addr, phys, size))]
+                raw = pack(addr, size, FLAG_VALID, 0, 0)
+            else:
+                phys = alloc(header)
+                write(phys, payload[:header])
+                addr = api_map(_map_request(phys, header, to_device, rid))[0]
+                rest = size - header
+                phys1 = alloc(rest)
+                write(phys1, payload[header:])
+                addr1 = api_map(_map_request(phys1, rest, to_device, rid))[0]
+                buffers = [
+                    tuple.__new__(MappedBuffer, (addr, phys, header)),
+                    tuple.__new__(MappedBuffer, (addr1, phys1, rest)),
+                ]
+                raw = pack(addr, header, FLAG_VALID, addr1, rest)
+            write(slots + tail * DESCRIPTOR_BYTES, raw)
+            posted.append((tail, buffers))
+            tail = (tail + 1) % entries
+            ring.tail = tail
+        return count
 
     def _handle_tx_burst(self, burst: List[Tuple[int, int]]) -> None:
         self.stats.tx_bursts += 1

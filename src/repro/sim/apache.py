@@ -110,18 +110,23 @@ class ApacheBench:
         for frame in (b"S" * 60, b"G" * REQUEST_BYTES, b"F" * 60):
             driver.nic.deliver_frame(frame)
             driver.account.stage(Component.PROCESSING, setup.c_none_stream)
-        # Outbound: SYN-ACK, the file, FIN-ACK.
-        frames = [b"A" * 60]
-        remaining = self.file_bytes
-        while remaining > 0:
-            take = min(MSS_BYTES, remaining)
-            frames.append(b"D" * take)
-            remaining -= take
+        # Outbound: SYN-ACK, the file, FIN-ACK — as trains of frames,
+        # pumping the device whenever the Tx ring is full.
+        full, last = divmod(self.file_bytes, MSS_BYTES)
+        frames = [b"A" * 60] + [b"D" * MSS_BYTES] * full
+        if last:
+            frames.append(b"D" * last)
         frames.append(b"K" * 60)
-        for frame in frames:
-            while not driver.transmit(frame):
+        sent = 0
+        while sent < len(frames):
+            posted = driver.transmit_train(frames[sent:])
+            if posted:
+                driver.account.stage_many(
+                    Component.PROCESSING, setup.c_none_stream, posted
+                )
+                sent += posted
+            else:
                 driver.pump_tx()
-            driver.account.stage(Component.PROCESSING, setup.c_none_stream)
         driver.pump_tx()
         # The application work for this request.
         driver.account.stage(Component.PROCESSING, self.app_cycles)

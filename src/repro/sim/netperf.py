@@ -125,9 +125,14 @@ class StreamActor(PhasedActor):
         interval = self.workload.pump_interval
         payload = b"\xab" * ETHERNET_MTU_BYTES
         while self.i < count:
-            if driver.transmit(payload):
-                driver.account.stage(Component.PROCESSING, setup.c_none_stream)
-                self.i += 1
+            # A train runs up to the next pump boundary at most.
+            todo = min(interval - self.i % interval, count - self.i)
+            posted = driver.transmit_train([payload] * todo)
+            if posted:
+                driver.account.stage_many(
+                    Component.PROCESSING, setup.c_none_stream, posted
+                )
+                self.i += posted
                 if self.i % interval == 0:
                     driver.pump_tx()
                     if self.i < count:

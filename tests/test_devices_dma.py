@@ -41,6 +41,21 @@ def test_direction_permits():
     assert DmaDirection.TO_DEVICE.permits(DmaDirection.TO_DEVICE)
 
 
+def test_direction_permits_keeps_the_intflag_truth_table():
+    # permits() computes in ints; the reference is the IntFlag
+    # expression, whose ``~`` complements within the two direction bits.
+    grants = [
+        DmaDirection(0),
+        DmaDirection.TO_DEVICE,
+        DmaDirection.FROM_DEVICE,
+        DmaDirection.BIDIRECTIONAL,
+    ]
+    for granted in grants:
+        for access in [*range(8), *grants]:
+            expected = bool(granted & access) and (access & ~granted) == 0
+            assert granted.permits(access) is expected, (granted, access)
+
+
 # -- Descriptor encoding ----------------------------------------------------
 
 

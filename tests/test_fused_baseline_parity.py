@@ -20,7 +20,6 @@ from repro.iommu import (
     BaselineIommuDriver,
     Iommu,
     QueuedInvalidation,
-    QueueFullError,
     make_bdf,
 )
 from repro.iommu import page_table
@@ -118,6 +117,41 @@ def test_translate_outcome_and_counters_match_scalar(scalar_build, case, coheren
         assert scalar[0][0] is StaleReadError
 
 
+def _iotlb_script(monkeypatch):
+    """Translations through a 4-entry IOTLB: repeats refresh LRU
+    recency, new pages evict, and a deferred unmap leaves a stale entry
+    for the last translation to hit."""
+    monkeypatch.setattr(page_table, "_domain_ids", itertools.count(1))
+    mem = MemorySystem(size_bytes=1 << 24)
+    iommu = Iommu(mem, iotlb_capacity=4)
+    driver = BaselineIommuDriver(mem, iommu, BDF, Mode.DEFER)
+    iovas = [
+        dma_map(driver, mem.alloc_dma_buffer(PAGE_SIZE), 64, DmaDirection.FROM_DEVICE)
+        for _ in range(6)
+    ]
+    log = [
+        iommu.translate(BDF, iovas[i], DmaDirection.FROM_DEVICE)
+        for i in (0, 1, 2, 3, 0, 4, 1, 5, 0, 2, 0)
+    ]
+    dma_unmap(driver, iovas[0])
+    log.append(iommu.translate(BDF, iovas[0], DmaDirection.FROM_DEVICE))
+    return (
+        log,
+        asdict(iommu.iotlb.stats),
+        list(iommu.iotlb._entries),
+        asdict(iommu.stats),
+        asdict(iommu.coherency.stats),
+    )
+
+
+def test_iotlb_recency_evictions_and_stale_hits_match_scalar(scalar_build, monkeypatch):
+    with scalar_build():
+        scalar = _iotlb_script(monkeypatch)
+    assert _iotlb_script(monkeypatch) == scalar
+    iotlb_stats = scalar[1]
+    assert iotlb_stats["evictions"] > 0 and iotlb_stats["stale_hits"] == 1
+
+
 def _strict_unmaps(mode, monkeypatch):
     """Map and unmap a mix of 1-, 2- and 4-page buffers on a 4-entry QI.
 
@@ -183,6 +217,7 @@ def _strict_unmaps(mode, monkeypatch):
             "allocator": asdict(allocator.stats),
             "tree_visits": tree.visits,
             "coherency": asdict(iommu.coherency.stats),
+            "mapped_pages": driver.page_table.mapped_pages,
             "cycles": driver.account.total(),
         },
         len(doorbell_calls),
@@ -207,16 +242,18 @@ def test_strict_unmaps_leave_identical_queue_and_allocator(
         assert scalar["allocator"]["free_visits"] > scalar["allocator"]["frees"]
 
 
-def _two_entry_queue_unmap(monkeypatch):
-    """A strict unmap on a 2-entry QI: the wait descriptor finds it full."""
+def _two_entry_queue_unmaps(monkeypatch):
+    """Strict unmaps on a 2-entry QI: each wait descriptor finds it full,
+    so the unmap drains the page invalidation first and retries."""
     monkeypatch.setattr(page_table, "_domain_ids", itertools.count(1))
     mem = MemorySystem(size_bytes=1 << 24)
     iommu = Iommu(mem)
     iommu.qi = QueuedInvalidation(mem, iommu.iotlb, entries=2)
     driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
-    phys = mem.alloc_dma_buffer(PAGE_SIZE)
-    iova = dma_map(driver, phys, 64, DmaDirection.TO_DEVICE)
-    with pytest.raises(QueueFullError):
+    for size in (64, 2 * PAGE_SIZE, 64):
+        phys = mem.alloc_dma_buffer(size)
+        iova = dma_map(driver, phys, size, DmaDirection.TO_DEVICE)
+        iommu.translate(BDF, iova, DmaDirection.TO_DEVICE)
         dma_unmap(driver, iova)
     qi = iommu.qi
     return (
@@ -224,15 +261,23 @@ def _two_entry_queue_unmap(monkeypatch):
         qi.head,
         qi.tail,
         asdict(qi.stats),
+        mem.ram.read_u64(driver.invalidation._status_addr),
+        asdict(iommu.iotlb.stats),
         asdict(driver.invalidation.stats),
         asdict(driver.allocator.stats),
+        driver.live_mappings(),
+        driver.allocator.live_count(),
     )
 
 
-def test_full_two_entry_queue_raises_as_scalar(scalar_build, monkeypatch):
+def test_two_entry_queue_unmaps_complete_as_scalar(scalar_build, monkeypatch):
     with scalar_build():
-        scalar = _two_entry_queue_unmap(monkeypatch)
-    assert _two_entry_queue_unmap(monkeypatch) == scalar
+        scalar = _two_entry_queue_unmaps(monkeypatch)
+    assert _two_entry_queue_unmaps(monkeypatch) == scalar
+    _ring, head, tail, qi_stats, status, *_, live, allocated = scalar
+    assert head == tail and status == 1
+    assert qi_stats["waits_completed"] == 3
+    assert live == allocated == 0
 
 
 def _allocator_script():

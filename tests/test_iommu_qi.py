@@ -1,5 +1,7 @@
 """Unit tests for the queued-invalidation (QI) interface."""
 
+import contextlib
+
 import pytest
 
 from repro.dma import DmaDirection
@@ -13,6 +15,8 @@ from repro.iommu import (
     QueuedInvalidation,
     make_bdf,
 )
+from repro.iommu.invalidation import StrictInvalidation
+from repro.iova import LinuxIovaAllocator
 from repro.memory import MemorySystem
 from repro.modes import Mode
 from tests.dma_helpers import dma_map, dma_unmap
@@ -76,12 +80,60 @@ def test_wait_descriptor_writes_status(qi):
     assert queue.stats.waits_completed == 1
 
 
-def test_invalidate_page_sync_handshake(qi):
-    queue, iotlb, _mem = qi
-    cache(iotlb, BDF, 9)
-    status = queue.alloc_status_addr()
-    queue.invalidate_page_sync(BDF, 9, status)
-    assert (BDF, 9) not in iotlb
+def _build(scalar_build, build):
+    return scalar_build() if build == "scalar" else contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("build", ["scalar", "columnar"])
+def test_strict_unmap_handshake(qi, scalar_build, build):
+    """A strict unmap's handshake: the invalidation, then a wait
+    descriptor whose status word the hardware writes, and the queue is
+    drained when the unmap returns."""
+    queue, iotlb, mem = qi
+    allocator = LinuxIovaAllocator(limit_pfn=1 << 20)
+    strict = StrictInvalidation(iotlb, allocator, qi=queue)
+    rng = allocator.alloc(1)
+    cache(iotlb, BDF, rng.pfn_lo)
+    assert mem.ram.read_u64(strict._status_addr) == 0
+    with _build(scalar_build, build):
+        assert strict.on_unmap(BDF, rng) == 1
+    assert (BDF, rng.pfn_lo) not in iotlb
+    assert mem.ram.read_u64(strict._status_addr) == 1
+    assert queue.head == queue.tail
+    assert queue.stats.submitted == queue.stats.processed == 2
+    assert queue.stats.waits_completed == 1
+    assert allocator.live_count() == 0
+
+
+@pytest.mark.parametrize("pages, entries", [(255, None), (1, 2)])
+@pytest.mark.parametrize("build", ["scalar", "columnar"])
+def test_strict_unmap_drains_the_queue_for_its_wait(scalar_build, build, pages, entries):
+    """The page descriptors leave no slot for the wait descriptor: a
+    255-page unmap on the default 256-entry queue, and every one-page
+    unmap on a 2-entry queue.  The unmap drains the queue and retries,
+    so it completes and frees its IOVA range."""
+    mem = MemorySystem(size_bytes=1 << 26)
+    iommu = Iommu(mem)
+    if entries is None:
+        assert iommu.qi.entries == 256
+    else:
+        iommu.qi = QueuedInvalidation(mem, iommu.iotlb, entries=entries)
+    with _build(scalar_build, build):
+        driver = BaselineIommuDriver(mem, iommu, BDF, Mode.STRICT)
+        for _ in range(2):
+            phys = mem.alloc_dma_buffer(pages * 4096)
+            iova = dma_map(driver, phys, pages * 4096, DmaDirection.FROM_DEVICE)
+            iommu.translate(BDF, iova + (pages - 1) * 4096, DmaDirection.FROM_DEVICE)
+            dma_unmap(driver, iova)
+            with pytest.raises(IoPageFault):
+                iommu.translate(BDF, iova, DmaDirection.FROM_DEVICE)
+    qi = iommu.qi
+    assert driver.live_mappings() == 0
+    assert driver.allocator.live_count() == 0
+    assert qi.head == qi.tail
+    assert qi.stats.submitted == qi.stats.processed == 2 * (pages + 1)
+    assert qi.stats.waits_completed == 2
+    assert mem.ram.read_u64(driver.invalidation._status_addr) == 1
 
 
 def test_queue_wraps_and_fills(qi):
